@@ -5,11 +5,12 @@
 Runs one workload as a closed loop with one caller, in fresh single-threaded
 worker processes started one at a time, and checks every answer. With
 ``--trace 0`` it reports the end-to-end metrics: ``setup_s`` is the median
-over SETUP_SAMPLES fresh processes, the others come from the measuring
-process. With ``--trace 1`` one process runs every item traced and untraced
-and reports the per-layer metrics. The last line of stdout is the JSON
-result; the full report, with the environment record, goes to
-``perfbench/results/``. Run from the repository root.
+over the measuring process and SETUP_EACH_SIDE set-up-only processes on each
+side of it, the others come from the measuring process. With ``--trace 1``
+one process runs every item traced and untraced and reports the per-layer
+metrics. The last line of stdout is the JSON result; the full report, with
+the environment record, goes to ``perfbench/results/``. Run from the
+repository root.
 
     python3 perfbench/run.py --write-spec
 
@@ -31,13 +32,16 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 
 RUN_SECONDS = 20
-SETUP_SAMPLES = 5
+# setup_s is the median over the measuring process and this many set-up-only
+# processes before it and as many after it, so that a slow spell of the
+# machine at one end of the run does not decide it.
+SETUP_EACH_SIDE = 4
 # Every process this command starts must have ended by then.
 DEADLINE_S = 170.0
 
 # name -> (unit, better, bound). A bound is the share of the parent's median
-# by which the metric may worsen. On a shared 2-vCPU Xeon, the quartile spread
-# of ten seeds stayed below a third of it on every workload.
+# by which the metric may worsen. perfbench/README.md lists the quartile
+# spreads of two sets of ten seeds measured against these bounds.
 END_TO_END = {
     "setup_s": ("s", "lower", 0.25),
     "items_per_s": ("1/s", "higher", 0.25),
@@ -72,20 +76,14 @@ def _spawn(args, deadline: float, setup_only: bool = False, spans_out: Path | No
 
 
 def _git_commit() -> str | None:
-    git = ROOT / ".git"
+    """HEAD of the repository at ROOT, or None outside one."""
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(ROOT.parent))
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return None
+        proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return proc.stdout.strip() if proc.returncode == 0 else None
 
 
 def _cpu_model() -> str | None:
@@ -110,7 +108,7 @@ def result_line(report: dict, setup_samples: list[float], trace: bool) -> dict:
     else:
         values = dict(report, setup_s=statistics.median(setup_samples))
         metrics = {k: {"value": values[k], "unit": unit} for k, (unit, _, _) in END_TO_END.items()}
-    return {"correct": report["failed"] == 0, "attempted": report["attempted"],
+    return {"correct": report["failed"] == 0 and report["complete"], "attempted": report["attempted"],
             "failed": report["failed"], "metrics": metrics}
 
 
@@ -153,14 +151,15 @@ def main(argv=None) -> int:
     results.mkdir(exist_ok=True)
     stem = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     try:
-        setup_only = 0 if args.trace else SETUP_SAMPLES - 1
-        setups = [_spawn(args, deadline, setup_only=True) for _ in range(setup_only)]
+        each_side = 0 if args.trace else SETUP_EACH_SIDE
+        setups = [_spawn(args, deadline, setup_only=True) for _ in range(each_side)]
         spans_out = results / f"{stem}.spans.jsonl" if args.trace else None
         report = _spawn(args, deadline, spans_out=spans_out)
+        setups.append(report)
+        setups += [_spawn(args, deadline, setup_only=True) for _ in range(each_side)]
     except (WorkerFailed, subprocess.TimeoutExpired, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    setups.append(report)
     line = result_line(report, [s["setup_s"] for s in setups], bool(args.trace))
 
     print(f"workload {args.workload}, seed {args.seed}: closed loop, 1 caller, "
@@ -168,13 +167,19 @@ def main(argv=None) -> int:
           + (", each run traced and untraced" if args.trace else ""))
     for failure in report["failures"]:
         print(f"  FAILED {failure}")
+    if not report["complete"]:
+        print(f"  INCOMPLETE: {report['attempted']} items, fewer than the {report['min_items']} "
+              "that item_p90_ms needs")
     for name, m in line["metrics"].items():
         print(f"  {name:40s} {m['value']:>16.6g} {m['unit']}")
     if not args.trace:
         print(f"  setup_s is the median of {len(setups)} processes; percentiles are over "
               f"{report['attempted']} items.")
-        print(f"  Item times are scaled to a {report['reference_target_ms']} ms reference kernel; unscaled: "
-              + ", ".join(f"{k} {v:.6g}" for k, v in report["raw"].items()))
+        print(f"  speed scale {report['speed_scale']:.6g}: the mean factor item times were scaled by, "
+              f"so that the reference kernel (median {report['raw']['reference_ms']:.6g} ms in this "
+              f"run) reads {report['reference_target_ms']} ms")
+        print("  unscaled: " + ", ".join(f"{k} {v:.6g}" for k, v in report["raw"].items()
+                                         if k != "reference_ms"))
     print(f"  answer digest  (first {report['digest_items']} items) {report['answer_digest']}")
     print(f"  witness digest (first {report['digest_items']} items) {report['witness_digest']}")
     full = dict(report, environment=environment(args, report), result=line,

@@ -60,3 +60,10 @@ def test_corrupted_witness_counts_as_failed(monkeypatch):
         assert "gamma_t witness" in report["failures"][0]
         assert not run.result_line(report, [report["setup_s"]], trace)["correct"]
     assert report["per_layer"]["failed_frac"]["value"] == 1.0
+
+
+def test_short_run_is_not_correct(monkeypatch):
+    monkeypatch.setattr(worker, "MAX_LOOP_S", 0.0)
+    report = _tiny("rainbow_threshold", False)
+    assert report["attempted"] == 1 and report["failed"] == 0 and not report["complete"]
+    assert not run.result_line(report, [report["setup_s"]], False)["correct"]

@@ -31,17 +31,18 @@ import workloads  # noqa: E402  (imports tropidom, which set-up time includes)
 
 # p90 needs at least 10 samples beyond it; the digests cover these first items.
 MIN_ITEMS = 100
-# The timed loop stops here even short of MIN_ITEMS, to end within the limit.
-MAX_BUSY_S = 120.0
+# The loop, checks included, stops after this many seconds even short of
+# MIN_ITEMS, so that the command ends in time; such a run is not correct.
+MAX_LOOP_S = 100.0
 
-# The machine is shared, and its speed drifts by up to a quarter over minutes
-# (the same seed measured 8.9 and 11.2 items/s on gnpc_cli a minute apart).
-# A fixed pure-Python kernel is timed before an item whenever REFERENCE_EVERY_S
-# of item time has passed since the last sample, and every item time is
-# rescaled by REFERENCE_MS over the kernel's local median, so item times read
-# as on a machine where the kernel takes REFERENCE_MS. Raw times are kept too.
-# Set-up is not scaled: no sample can be taken inside it, and a sample after
-# it added more noise than it removed.
+# The machine is shared, and its speed comes in spells: the kernel below takes
+# about 1.1 ms in some and 2.0 ms in others, and a spell lasts from a tenth of
+# a second to minutes. The kernel is timed before an item whenever
+# REFERENCE_EVERY_S of item time has passed since the last sample, and every
+# item time is rescaled by REFERENCE_MS over the kernel's local median, so item
+# times read as on a machine where the kernel takes REFERENCE_MS. Raw times are
+# kept too. Set-up is not scaled: kernel samples taken at process start, after
+# the imports and after set-up did not track its time (see README.md).
 REFERENCE_MS = 2.0
 REFERENCE_EVERY_S = 0.05
 _REF_FULL = (1 << 256) - 1
@@ -97,6 +98,10 @@ def _record(wl, out, err):
     return ["error", err.split(":", 1)[0]], None
 
 
+def _p90(values: list[float]) -> float:
+    return statistics.quantiles(values, n=10)[8] if len(values) > 1 else values[0]
+
+
 def _digest(records) -> str:
     return hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
 
@@ -122,6 +127,7 @@ def measure(wl, inputs, seconds: float, tracer=None, min_items: int = MIN_ITEMS)
     excess = [0, 0, 0, 0]
     failed = 0
     i = 0
+    loop_start = time.monotonic()
     while True:
         inp = inputs[i % len(inputs)]
         if since_ref >= REFERENCE_EVERY_S:
@@ -156,7 +162,7 @@ def measure(wl, inputs, seconds: float, tracer=None, min_items: int = MIN_ITEMS)
             witnesses.append(witness)
         i += 1
         busy = untraced_s + traced_s
-        if (busy >= seconds and i >= min_items) or busy >= MAX_BUSY_S:
+        if (busy >= seconds and i >= min_items) or time.monotonic() - loop_start >= MAX_LOOP_S:
             break
 
     scaled = [lat * k for lat, k in zip(latencies, _speed_scales(refs, ref_of_item))]
@@ -164,15 +170,18 @@ def measure(wl, inputs, seconds: float, tracer=None, min_items: int = MIN_ITEMS)
         "attempted": i,
         "failed": failed,
         "failures": failures,
+        "complete": i >= min_items,
+        "min_items": min_items,
         "items_per_s": (i - failed) / sum(scaled),
         "item_p50_ms": statistics.median(scaled) * 1e3,
-        "item_p90_ms": statistics.quantiles(scaled, n=10)[8] * 1e3,
+        "item_p90_ms": _p90(scaled) * 1e3,
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "reference_target_ms": REFERENCE_MS,
+        "speed_scale": sum(scaled) / untraced_s,
         "raw": {
             "items_per_s": (i - failed) / untraced_s,
             "item_p50_ms": statistics.median(latencies) * 1e3,
-            "item_p90_ms": statistics.quantiles(latencies, n=10)[8] * 1e3,
+            "item_p90_ms": _p90(latencies) * 1e3,
             "reference_ms": statistics.median(refs) * 1e3,
         },
         "digest_items": len(answers),

@@ -1,11 +1,10 @@
 """The four benchmark workloads.
 
-A workload is a ``Workload``: ``setup`` builds the inputs from the seed (and
-writes instance files where the workload reads them back), ``run`` is one
-timed item and calls only what a user of the library or CLI would call,
-``check`` re-validates the item's answer outside the timed interval and
-returns the problems it found, and ``answer`` / ``witness`` give the records
-that the digests hash.
+A workload is a ``Workload``: ``setup`` builds the inputs from the seed,
+``run`` is one timed item and calls only what a user of the library or CLI
+would call, ``check`` re-validates the item's answer outside the timed
+interval and returns the problems it found, and ``answer`` / ``witness`` give
+the records that the digests hash.
 
 Parameters (sizes, densities, colour counts) follow a fixed schedule over the
 item index, so every seed covers the same mix and the seed only draws the
@@ -54,14 +53,11 @@ def _witness_problems(g, wit, what, size=None, tropical=True, rainbow=False) -> 
     return problems
 
 
-def _rainbow_cross_check(g, count: int, gamma_t_value: int | None = None) -> list[str]:
-    """rainbow_exists must agree with count_rainbow_ds (and with gamma_t == c)."""
-    ok, wit, _ = exact.rainbow_exists(g, budget=NODE_BUDGET)
-    problems = _witness_problems(g, wit, "rainbow", rainbow=True) if ok else []
-    if ok != (count > 0):
-        problems.append(f"rainbow_exists={ok} but count_rainbow_ds={count}")
-    if gamma_t_value is not None and ok != (gamma_t_value == g.c):
-        problems.append(f"rainbow_exists={ok} but gamma_t={gamma_t_value}, c={g.c}")
+def _rainbow_problems(g, exists: bool, wit, count: int) -> list[str]:
+    """A rainbow_exists answer must hold a valid witness and agree with count_rainbow_ds."""
+    problems = _witness_problems(g, wit, "rainbow_exists", rainbow=True) if exists else []
+    if exists != (count > 0):
+        problems.append(f"rainbow_exists={exists} but count_rainbow_ds={count}")
     return problems
 
 
@@ -71,12 +67,15 @@ def _sorted(wit) -> list[int] | None:
 
 # --- rainbow_threshold ------------------------------------------------------
 # Threshold trials on G(n, 1/2, c) with c = threshold_colours(n, 1/2) = 3, the
-# paper's threshold, for n cycling over 60..80. The answer is yes on about 87%
-# of trials at n = 60 and 40% at n = 80, so both witness searches and
-# exhaustive refutations run, and the item times spread evenly instead of
-# splitting into a yes and a no cluster. Criterion 8's n = 200, c = 4 takes
-# 0.2-6.5 s per trial, too long to repeat 22 times, so it is deliberately not
-# a workload.
+# paper's threshold. One item is one point of a threshold sweep: a trial at
+# each n of SWEEP. The answer is yes on about 90% of trials at n = 60 and 40%
+# at n = 80, so both witness searches and exhaustive refutations run. A single
+# trial's time varies several-fold with its graph, so the median of single
+# trials moved by 15% from seed to seed; the sum over a sweep moves far less.
+# Criterion 8's n = 200, c = 4 takes 0.2-6.5 s per trial, too long to repeat
+# 22 times, so it is deliberately not a workload.
+
+SWEEP = (60, 70, 80)
 
 
 class RainbowOut(NamedTuple):
@@ -87,37 +86,35 @@ class RainbowOut(NamedTuple):
 
 
 def rainbow_setup(seed: int, work_dir: Path, tiny: bool) -> list:
-    sizes = (30, 40) if tiny else (60, 65, 70, 75, 80)
-    colours = {n: problab.threshold_colours(n, 0.5) for n in sizes}
-    items = []
-    for t in range(4000):
-        n = sizes[t % len(sizes)]
-        items.append((n, 0.5, colours[n], [seed, t]))
-    return items
+    sizes = (30, 40) if tiny else SWEEP
+    colours = [problab.threshold_colours(n, 0.5) for n in sizes]
+    return [[(n, 0.5, c, [seed, t, n]) for n, c in zip(sizes, colours)] for t in range(2000)]
 
 
-def rainbow_run(inp) -> RainbowOut:
-    n, p, c, trial_seed = inp
-    g = forge.gen_gnpc(n, p, c, seed=trial_seed)
-    return RainbowOut(g, *exact.rainbow_exists(g, budget=NODE_BUDGET))
+def rainbow_run(sweep) -> list[RainbowOut]:
+    outs = []
+    for n, p, c, trial_seed in sweep:
+        g = forge.gen_gnpc(n, p, c, seed=trial_seed)
+        outs.append(RainbowOut(g, *exact.rainbow_exists(g, budget=NODE_BUDGET)))
+    return outs
 
 
-def rainbow_check(inp, out: RainbowOut) -> list[str]:
+def rainbow_check(sweep, outs: list[RainbowOut]) -> list[str]:
     problems = []
-    if out.exists:
-        problems += _witness_problems(out.g, out.witness, "rainbow_exists", rainbow=True)
-    count = exact.count_rainbow_ds(out.g, budget=NODE_BUDGET)
-    if out.exists != (count > 0):
-        problems.append(f"rainbow_exists={out.exists} but count_rainbow_ds={count}")
+    for o in outs:
+        count = exact.count_rainbow_ds(o.g, budget=NODE_BUDGET)
+        problems += _rainbow_problems(o.g, o.exists, o.witness, count)
     return problems
 
 
 # --- exact_audit ------------------------------------------------------------
-# The `audit` path over a corpus of 1000 small G(n, p, c) files: n is 20..34,
-# p is 0.22..0.32 and c is 1..6. The exact search cost grows steeply as the
-# density falls and n grows (single items of seconds at p = 0.15), and with
+# The `audit` path over a corpus of 1000 small G(n, p, c) instances: n is
+# 20..34, p is 0.22..0.32 and c is 1..6. The exact search cost grows steeply as
+# the density falls and n grows (single items of seconds at p = 0.15), and with
 # p down to 0.2 and n up to 40 a few items decided a run: two seeds differed
-# by 30% in mean item time.
+# by 30% in mean item time. The corpus is kept as instance text in memory, not
+# in files: writing 1000 files made set-up time depend on the state of the file
+# system (its system time grew from 0.09 to 0.77 s over twelve set-ups).
 
 
 class AuditOut(NamedTuple):
@@ -137,17 +134,15 @@ def audit_params(t: int, tiny: bool) -> tuple[int, float, int]:
 
 
 def audit_setup(seed: int, work_dir: Path, tiny: bool) -> list:
-    paths = []
+    texts = []
     for t in range(24 if tiny else 1000):
         n, p, c = audit_params(t, tiny)
-        path = work_dir / f"audit_{t:04d}.tdgs"
-        path.write_text(instance_io.write_instance(forge.gen_gnpc(n, p, c, seed=[seed, t])))
-        paths.append(path)
-    return paths
+        texts.append(instance_io.write_instance(forge.gen_gnpc(n, p, c, seed=[seed, t])))
+    return texts
 
 
-def audit_run(path: Path) -> AuditOut:
-    g = instance_io.parse_instance(path.read_text()).graph
+def audit_run(text: str) -> AuditOut:
+    g = instance_io.parse_instance(text).graph
     gt = exact.gamma_t(g, budget=NODE_BUDGET)
     gm = exact.gamma(g, budget=NODE_BUDGET)
     bounds = problab.audit_bounds(g, gt.value, gm.value)
@@ -156,7 +151,7 @@ def audit_run(path: Path) -> AuditOut:
     return AuditOut(g, gt, gm, bounds, greedy, count)
 
 
-def audit_check(path: Path, out: AuditOut) -> list[str]:
+def audit_check(text: str, out: AuditOut) -> list[str]:
     g, gt, gm, greedy = out.g, out.gamma_t, out.gamma, out.greedy
     problems = _witness_problems(g, gt.witness, "gamma_t", size=gt.value)
     problems += _witness_problems(g, gm.witness, "gamma", size=gm.value, tropical=False)
@@ -165,11 +160,15 @@ def audit_check(path: Path, out: AuditOut) -> list[str]:
         problems.append(f"order broken: gamma={gm.value} gamma_t={gt.value} greedy={greedy.size}")
     if out.bounds.violations:
         problems.append(f"bounds violated: {[e.bound_id for e in out.bounds.violations]}")
-    return problems + _rainbow_cross_check(g, out.rainbow_count, gt.value)
+    exists, wit, _ = exact.rainbow_exists(g, budget=NODE_BUDGET)
+    if exists != (gt.value == g.c):
+        problems.append(f"rainbow_exists={exists} but gamma_t={gt.value}, c={g.c}")
+    return problems + _rainbow_problems(g, exists, wit, out.rainbow_count)
 
 
 # --- interval_dp ------------------------------------------------------------
-# Two kinds of interval instance, alternating. vc_to_path reductions of random
+# Two kinds of interval instance, alternating, kept as instance text with `i`
+# lines as for exact_audit. vc_to_path reductions of random
 # subcubic graphs on 5 or 6 vertices have c = n + m + 1 = 10..16 colours, so
 # the 2^c-row numpy table is their cost. Random interval graphs with n from
 # 300 to 1000 and c from 4 to 8 are dominated by the O(n^2) Python loops of
@@ -179,7 +178,7 @@ REDUCTION_SHAPES = [(5, 4), (5, 5), (5, 6), (5, 7), (6, 5), (6, 6), (6, 7), (6, 
 
 
 class IntervalIn(NamedTuple):
-    path: Path
+    text: str
     artifact: Any  # ReductionArtifact for reduction items, None for random ones
     source: Any  # the subcubic source graph of a reduction item
 
@@ -233,21 +232,18 @@ def interval_setup(seed: int, work_dir: Path, tiny: bool) -> list:
         order = graph.path_order(g)
         canon = interval.path_intervals(g.n)
         intervals = {order[i]: canon[i + 1] for i in range(g.n)}
-        path = work_dir / f"reduction_{k:03d}.tdgs"
-        path.write_text(instance_io.write_instance(g, intervals=intervals, legend=art.colour_legend))
-        items.append(IntervalIn(path, art, source))
+        text = instance_io.write_instance(g, intervals=intervals, legend=art.colour_legend)
+        items.append(IntervalIn(text, art, source))
 
         rng = np.random.default_rng([seed, 2 * k + 1])
         n = (30 + 10 * (k % 4)) if tiny else (300 + (89 * k) % 701)
         g, intervals = _random_interval_graph(rng, n, 4 + (k // 8) % 5)
-        path = work_dir / f"random_{k:03d}.tdgs"
-        path.write_text(instance_io.write_instance(g, intervals=intervals))
-        items.append(IntervalIn(path, None, None))
+        items.append(IntervalIn(instance_io.write_instance(g, intervals=intervals), None, None))
     return items
 
 
 def interval_run(inp: IntervalIn) -> IntervalOut:
-    inst = instance_io.parse_instance(inp.path.read_text())
+    inst = instance_io.parse_instance(inp.text)
     res = interval.tdn_interval(interval.build_interval_instance(inst.graph, inst.intervals))
     if inp.artifact is None:
         return IntervalOut(inst.graph, res, None, None)
@@ -278,6 +274,8 @@ def interval_check(inp: IntervalIn, out: IntervalOut) -> list[str]:
 # Sizes are about half of the largest ones a user would generate, so that a
 # run holds enough items for its p90. Sizes step finely through their ranges:
 # with five sparse sizes, p90 sat on the edge of the largest size's cluster.
+# The sparse and the dense items each overwrite one file, so that the file
+# system does not collect thousands of new files over a run.
 
 
 class CliIn(NamedTuple):
@@ -306,7 +304,7 @@ def gnpc_setup(seed: int, work_dir: Path, tiny: bool) -> list:
             p = round((10, 15, 20)[(k // 7) % 3] / (n - 1), 5)
         else:
             n, p = ((20 + 10 * (k % 3)) if tiny else (150 + (13 * k) % 151)), 0.5
-        path = work_dir / f"gnpc_{i:04d}.tdgs"
+        path = work_dir / f"gnpc_{i % 2}.tdgs"
         gen = ["gen", "gnpc", "-n", str(n), "-p", str(p), "-c", str(c),
                "--seed", str(seed * 1_000_000 + i), "--out", str(path)]
         items.append(CliIn(n, p, c, path, gen, ["solve", "--algo", "greedy", "--input", str(path)]))
@@ -356,14 +354,14 @@ WORKLOADS = {
     for w in [
         Workload(
             "rainbow_threshold",
-            "G(n, 1/2, 3) threshold trials, n 60..80: exact.rainbow_exists does nearly all the work, on yes and no answers",
+            "G(n, 1/2, 3) threshold sweeps over n = 60, 70, 80: exact.rainbow_exists does nearly all the work, on yes and no answers",
             rainbow_setup, rainbow_run, rainbow_check,
-            lambda o: [o.g.m, o.exists, o.explored],
-            lambda o: _sorted(o.witness),
+            lambda outs: [[o.g.m, o.exists, o.explored] for o in outs],
+            lambda outs: [_sorted(o.witness) for o in outs],
         ),
         Workload(
             "exact_audit",
-            "the audit path on small G(n, p, c) files: the exact branch-and-bound search dominates",
+            "the audit path on small G(n, p, c) instance texts: the exact branch-and-bound search dominates",
             audit_setup, audit_run, audit_check,
             lambda o: [o.g.n, o.g.m, o.g.c, o.gamma.value, o.gamma_t.value, o.greedy.size,
                        o.rainbow_count, o.gamma.explored, o.gamma_t.explored, len(o.bounds.violations)],
@@ -371,7 +369,7 @@ WORKLOADS = {
         ),
         Workload(
             "interval_dp",
-            "interval files: the 2^c-row DP table on reductions and the O(n^2) loops on large random interval graphs",
+            "interval instance texts: the 2^c-row DP table on reductions and the O(n^2) loops on large random interval graphs",
             interval_setup, interval_run, interval_check,
             lambda o: [o.g.n, o.g.c, o.result.value, o.result.explored,
                        o.path53 and o.path53.size, o.cover and len(o.cover)],
