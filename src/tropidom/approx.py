@@ -13,6 +13,7 @@ from fractions import Fraction
 
 from . import graph as gc
 from .errors import NotAPathError, NotDominatingError
+from .exact import _greedy_cover
 from .graph import ColouredGraph, degree_profile, path_order
 
 log = logging.getLogger(__name__)
@@ -47,17 +48,7 @@ def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
     sets = [
         g.closed_mask[v - 1] | (1 << (g.n + g.colour[v - 1] - 1)) for v in g.vertices
     ]
-    covered = 0
-    chosen: list[int] = []
-    while covered != target:
-        best_v, best_gain = None, 0
-        for v in g.vertices:
-            gain = (sets[v - 1] & ~covered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        assert best_v is not None, "set system fails to cover its universe"
-        chosen.append(best_v)
-        covered |= sets[best_v - 1]
+    chosen = [i + 1 for i in _greedy_cover(sets, target)]
     big_delta = degree_profile(g).big_delta
     return ApproxResult(
         witness=frozenset(chosen),
@@ -72,11 +63,7 @@ def mds_plus_colours(g: ColouredGraph, ds) -> ApproxResult:
     ds = set(ds)
     if not gc.is_dominating(g, ds):
         raise NotDominatingError("input set does not dominate the graph")
-    out = set(ds)
-    present = {g.colour[v - 1] for v in ds}
-    for k in range(1, g.c + 1):
-        if k not in present:
-            out.add(min(g.colour_class(k)))
+    out = gc.complete_colours(g, ds)
     return ApproxResult(
         witness=frozenset(out),
         size=len(out),

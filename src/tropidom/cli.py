@@ -16,7 +16,7 @@ import time
 from pathlib import Path
 
 from . import approx, exact, forge, instance_io, interval, problab
-from .errors import BudgetExceededError, TropidomError
+from .errors import BudgetExceededError, NoRepresentationError, TropidomError
 from .graph import degree_profile, is_dominating, is_tropical
 
 EXIT_OK = 0
@@ -82,7 +82,7 @@ def _cmd_solve(args) -> int:
         tropical = True
     elif args.algo == "interval":
         if inst.intervals is None:
-            raise TropidomError("instance has no interval representation ('i' lines)")
+            raise NoRepresentationError("instance has no interval representation ('i' lines)")
         ii = interval.build_interval_instance(g, inst.intervals)
         res = interval.tdn_interval(ii)
         payload = {"value": res.value, "witness": sorted(res.witness), "explored": res.explored}
@@ -256,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", "-T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--jobs", type=int, default=1, help="max trial parallelism")
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_experiment)

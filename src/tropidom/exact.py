@@ -1,18 +1,23 @@
 """Exact solvers: minimum dominating set, minimum tropical dominating set,
 rainbow dominating set existence and counting.
 
-All searches are iterative deepening on the solution size, branching on the
-lowest-indexed undominated vertex over its closed neighbourhood in increasing
-vertex id. That makes witnesses deterministic. A node budget converts runaway
-instances into BudgetExceededError instead of hangs.
+``gamma`` and ``gamma_t`` are iterative deepening on the solution size,
+branching on the lowest-indexed undominated vertex over its closed
+neighbourhood in increasing vertex id. The rainbow search takes one vertex per
+colour and branches on the undominated vertex with the fewest candidates, in
+increasing vertex id; one depth-first search serves both existence and
+counting. Every branching order is fixed, which makes witnesses deterministic.
+A node budget converts runaway instances into BudgetExceededError instead of
+hangs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .graph import ColouredGraph
+from .graph import ColouredGraph, complete_colours
 
 DEFAULT_BUDGET = 10**8
 
@@ -25,6 +30,12 @@ class SolveResult:
     kind: str
     value: int
     witness: frozenset[int]
+    explored: int
+
+
+class RainbowResult(NamedTuple):
+    exists: bool
+    witness: frozenset[int] | None
     explored: int
 
 
@@ -48,29 +59,29 @@ def _iter_bits(mask):
         mask ^= low
 
 
-def greedy_dominating(g: ColouredGraph) -> list[int]:
-    """Greedy max-coverage dominating set; tie-break smallest vertex id."""
+def _greedy_cover(sets, target: int) -> list[int]:
+    """Greedy max-coverage of the bitmask target by the bitmask sets.
+
+    Returns the indices of the chosen sets; ties go to the smallest index.
+    Shared by greedy_dominating and approx.greedy_setcover_tds.
+    """
     covered = 0
     chosen = []
-    while covered != g.full_mask:
-        best_v, best_gain = None, -1
-        for v in g.vertices:
-            gain = (g.closed_mask[v - 1] & ~covered).bit_count()
+    while covered != target:
+        best_i, best_gain = None, 0
+        for i, s in enumerate(sets):
+            gain = (s & ~covered).bit_count()
             if gain > best_gain:
-                best_v, best_gain = v, gain
-        chosen.append(best_v)
-        covered |= g.closed_mask[best_v - 1]
+                best_i, best_gain = i, gain
+        assert best_i is not None, "set system fails to cover its universe"
+        chosen.append(best_i)
+        covered |= sets[best_i]
     return chosen
 
 
-def _complete_colours(g: ColouredGraph, chosen: list[int]) -> list[int]:
-    """Add the lowest-id vertex of each colour missing from chosen."""
-    present = {g.colour[v - 1] for v in chosen}
-    out = list(chosen)
-    for k in range(1, g.c + 1):
-        if k not in present:
-            out.append(min(g.colour_class(k)))
-    return out
+def greedy_dominating(g: ColouredGraph) -> list[int]:
+    """Greedy max-coverage dominating set; tie-break smallest vertex id."""
+    return [i + 1 for i in _greedy_cover(g.closed_mask, g.full_mask)]
 
 
 def _dominator_intersection(g: ColouredGraph, undominated: int) -> int:
@@ -92,6 +103,7 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
     """
     closed = g.closed_mask
     full = g.full_mask
+    all_colours = (1 << g.c) - 1
     max_cover = max(m.bit_count() for m in closed)
 
     def dfs(covered: int, colours: int, chosen: list[int]):
@@ -103,7 +115,7 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
             missing = 0
         if covered == full:
             if missing <= remaining:
-                return _complete_colours(g, chosen) if tropical else list(chosen)
+                return complete_colours(g, chosen) if tropical else list(chosen)
             return None
         if remaining == 0:
             return None
@@ -113,24 +125,17 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
         if remaining == 1:
             cand = _dominator_intersection(g, undominated)
             if tropical and missing == 1:
-                miss_colour = next(
-                    kk for kk in range(1, g.c + 1) if not colours >> (kk - 1) & 1
-                )
-                cand &= g.colour_mask[miss_colour - 1]
+                cand &= g.colour_mask[(all_colours & ~colours).bit_length() - 1]
             elif missing > 1:
                 return None
             if cand:
                 v = (cand & -cand).bit_length()
-                return _complete_colours(g, chosen + [v]) if tropical else chosen + [v]
+                return complete_colours(g, chosen + [v]) if tropical else chosen + [v]
             return None
-        v = (undominated & -undominated).bit_length()
-        for u in sorted(g.closed_neighbourhood(v)):
-            chosen.append(u)
-            res = dfs(
-                covered | closed[u - 1],
-                colours | (1 << (g.colour[u - 1] - 1)),
-                chosen,
-            )
+        low = undominated & -undominated
+        for i in _iter_bits(closed[low.bit_length() - 1]):
+            chosen.append(i + 1)
+            res = dfs(covered | closed[i], colours | (1 << (g.colour[i] - 1)), chosen)
             chosen.pop()
             if res is not None:
                 return res
@@ -143,7 +148,7 @@ def _solve(g: ColouredGraph, tropical: bool, budget: int) -> SolveResult:
     counter = _Counter(budget)
     ub_set = greedy_dominating(g)
     if tropical:
-        ub_set = _complete_colours(g, ub_set)
+        ub_set = complete_colours(g, ub_set)
     ub = len(ub_set)
     max_cover = max(m.bit_count() for m in g.closed_mask)
     lb = -(-g.n // max_cover)
@@ -174,121 +179,97 @@ def gamma_t(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     return _solve(g, tropical=True, budget=budget)
 
 
-def _class_order(g: ColouredGraph) -> list[int]:
-    sizes = [(g.colour_mask[k - 1].bit_count(), k) for k in range(1, g.c + 1)]
-    return [k for _, k in sorted(sizes)]
+def _rainbow_dfs(g: ColouredGraph, counter: _Counter, first: bool):
+    """Search the sets that take one vertex per colour and dominate g.
+
+    With ``first`` set, returns the first such set found as a vertex list, or
+    None. Otherwise returns how many there are.
+
+    Singleton colour classes are committed up front. A node then prunes
+    unless the unused colour classes can still cover every undominated
+    vertex, closes the last unused colour at once by intersecting the
+    dominators of the undominated vertices, and otherwise branches on the
+    first undominated vertex with the fewest candidates (allowed vertices of
+    unused colours in its closed neighbourhood), in increasing id. After each
+    branch its vertex is disallowed for the later siblings, so every rainbow
+    set is reached exactly once and the count is exact.
+    """
+    full = g.full_mask
+    closed = g.closed_mask
+    colour_mask = g.colour_mask
+    all_colours = (1 << g.c) - 1
+    class_cover = [0] * g.c
+    for k, m in enumerate(colour_mask):
+        for i in _iter_bits(m):
+            class_cover[k] |= closed[i]
+    fail = None if first else 0
+
+    # avail: allowed vertices of unused colours
+    def dfs(used: int, covered: int, avail: int, chosen: list[int]):
+        counter.tick()
+        unused = all_colours & ~used
+        if covered == full:
+            if first:
+                return complete_colours(g, chosen)
+            ways = 1
+            for k in _iter_bits(unused):
+                ways *= (colour_mask[k] & avail).bit_count()
+            return ways
+        reach = covered
+        for k in _iter_bits(unused):
+            reach |= class_cover[k]
+        if reach != full:
+            return fail
+        undominated = full & ~covered
+        if unused & (unused - 1) == 0:
+            cand = avail & _dominator_intersection(g, undominated)
+            if first:
+                return chosen + [(cand & -cand).bit_length()] if cand else None
+            return cand.bit_count()
+        best, best_size = 0, g.n + 1
+        for i in _iter_bits(undominated):
+            cand = closed[i] & avail
+            size = cand.bit_count()
+            if size < best_size:
+                best, best_size = cand, size
+                if size <= 1:
+                    break
+        total = fail
+        for u in _iter_bits(best):
+            k = g.colour[u] - 1
+            res = dfs(
+                used | 1 << k, covered | closed[u], avail & ~colour_mask[k], chosen + [u + 1]
+            )
+            if not first:
+                total += res
+            elif res is not None:
+                return res
+            avail &= ~(1 << u)
+        return total
+
+    used, covered, avail, chosen = 0, 0, full, []
+    for k, m in enumerate(colour_mask):
+        if m & (m - 1) == 0:
+            chosen.append(m.bit_length())
+            used |= 1 << k
+            covered |= closed[m.bit_length() - 1]
+            avail &= ~m
+    return dfs(used, covered, avail, chosen)
 
 
-def _suffix_cover(g: ColouredGraph, order: list[int]) -> list[int]:
-    """suffix_cover[d] = union of closed neighbourhoods over classes order[d:]."""
-    suffix = [0] * (len(order) + 1)
-    for d in range(len(order) - 1, -1, -1):
-        u = suffix[d + 1]
-        for v in g.colour_class(order[d]):
-            u |= g.closed_mask[v - 1]
-        suffix[d] = u
-    return suffix
-
-
-def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET):
+def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Decide whether a rainbow dominating set exists.
 
-    Any rainbow set takes exactly one vertex per colour, so singleton colour
-    classes are committed up front. The search then alternates unit
-    propagation (an undominated vertex with a single viable dominator forces
-    that pick) with branching on the most constrained undominated vertex.
-    Once domination is reached, the unused colours are completed with their
-    lowest-id representatives, which keeps domination intact. Prunes when
-    the unused colour classes together cannot cover the undominated
-    vertices.
-
-    Returns (exists, witness_or_None, explored).
+    Returns (exists, witness_or_None, explored), where explored counts the
+    search nodes.
     """
     counter = _Counter(budget)
-    full = g.full_mask
-    class_cover = [0] * g.c
-    for k in range(1, g.c + 1):
-        for i in _iter_bits(g.colour_mask[k - 1]):
-            class_cover[k - 1] |= g.closed_mask[i]
-
-    def candidates(v: int, used: int) -> list[int]:
-        return [
-            u for u in g.closed_neighbourhood(v)
-            if not used >> (g.colour[u - 1] - 1) & 1
-        ]
-
-    def complete(used: int, chosen: list[int]) -> list[int]:
-        out = list(chosen)
-        for k in range(1, g.c + 1):
-            if not used >> (k - 1) & 1:
-                out.append(min(g.colour_class(k)))
-        return out
-
-    def commit(u: int, used: int, covered: int) -> tuple[int, int]:
-        return used | 1 << (g.colour[u - 1] - 1), covered | g.closed_mask[u - 1]
-
-    def dfs(used: int, covered: int, chosen: list[int]):
-        counter.tick()
-        while True:
-            if covered == full:
-                return complete(used, chosen)
-            reach = covered
-            for k in range(1, g.c + 1):
-                if not used >> (k - 1) & 1:
-                    reach |= class_cover[k - 1]
-            if reach != full:
-                return None
-            branch_v, branch_cand = None, None
-            forced = None
-            for i in _iter_bits(full & ~covered):
-                cand = candidates(i + 1, used)
-                if not cand:
-                    return None
-                if len(cand) == 1:
-                    forced = cand[0]
-                    break
-                if branch_cand is None or len(cand) < len(branch_cand):
-                    branch_v, branch_cand = i + 1, cand
-            if forced is None:
-                break
-            chosen = chosen + [forced]
-            used, covered = commit(forced, used, covered)
-        for u in branch_cand:
-            nu, nc = commit(u, used, covered)
-            res = dfs(nu, nc, chosen + [u])
-            if res is not None:
-                return res
-        return None
-
-    used0, covered0, chosen0 = 0, 0, []
-    for k in range(1, g.c + 1):
-        if g.colour_mask[k - 1].bit_count() == 1:
-            u = g.colour_mask[k - 1].bit_length()
-            chosen0.append(u)
-            used0, covered0 = commit(u, used0, covered0)
-    witness = dfs(used0, covered0, chosen0)
+    witness = _rainbow_dfs(g, counter, first=True)
     if witness is None:
-        return False, None, counter.nodes
-    return True, frozenset(witness), counter.nodes
+        return RainbowResult(False, None, counter.nodes)
+    return RainbowResult(True, frozenset(witness), counter.nodes)
 
 
 def count_rainbow_ds(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of rainbow dominating sets (the realization of X_c)."""
-    counter = _Counter(budget)
-    order = _class_order(g)
-    suffix = _suffix_cover(g, order)
-    full = g.full_mask
-
-    def dfs(d: int, covered: int) -> int:
-        counter.tick()
-        if covered | suffix[d] != full:
-            return 0
-        cls_mask = g.colour_mask[order[d] - 1]
-        if d == len(order) - 1:
-            undominated = full & ~covered
-            if undominated:
-                cls_mask &= _dominator_intersection(g, undominated)
-            return cls_mask.bit_count()
-        return sum(dfs(d + 1, covered | g.closed_mask[i]) for i in _iter_bits(cls_mask))
-
-    return dfs(0, 0)
+    return _rainbow_dfs(g, _Counter(budget), first=False)

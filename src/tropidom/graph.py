@@ -153,6 +153,20 @@ def is_tropical(g: ColouredGraph, s: Iterable[int]) -> bool:
     return {g.colour[v - 1] for v in s} == set(range(1, g.c + 1))
 
 
+def complete_colours(g: ColouredGraph, s: Iterable[int]) -> list[int]:
+    """s followed by the lowest-id vertex of each colour missing from s.
+
+    Adding vertices keeps a dominating set dominating, so this turns any
+    dominating set into a tropical one.
+    """
+    out = list(s)
+    present = {g.colour[v - 1] for v in out}
+    for k, m in enumerate(g.colour_mask, 1):
+        if k not in present:
+            out.append((m & -m).bit_length())
+    return out
+
+
 def is_rainbow(g: ColouredGraph, s) -> bool:
     """True iff s has exactly c vertices, one of each colour."""
     s = set(s)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RepresentationMismatchError, TooManyColoursError
 from .exact import TROPICAL_DOMINATION, SolveResult
-from .graph import ColouredGraph
+from .graph import ColouredGraph, complete_colours
 
 INF = np.int64(1) << 40
 COLOUR_CAP = 24
@@ -167,12 +167,7 @@ def tdn_interval(inst: IntervalInstance, colour_cap: int = COLOUR_CAP) -> SolveR
     if best_val is None or best_val >= INF:
         raise RepresentationMismatchError("no prefix dominates the graph")
     positions = _reconstruct(inst, tables, f, best_S, best_i)
-    witness = {inst.order[p - 1] for p in positions}
-    # complete the missing colours with the lowest-id representative
-    present = {g.colour[v - 1] for v in witness}
-    for k in range(1, c + 1):
-        if k not in present:
-            witness.add(min(g.colour_class(k)))
+    witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(
         kind=TROPICAL_DOMINATION,
         value=best_val,

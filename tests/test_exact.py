@@ -10,15 +10,18 @@ from _oracles import (
     random_coloured_graph,
 )
 from tropidom import (
+    CnfFormula,
     build,
     count_rainbow_ds,
     degree_profile,
     gamma,
     gamma_t,
+    gen_gnpc,
     is_dominating,
     is_rainbow,
     is_tropical,
     rainbow_exists,
+    sat_to_path,
 )
 from tropidom.errors import BudgetExceededError
 
@@ -124,6 +127,56 @@ class TestRainbow:
             assert ok == bool(sets)
             if ok:
                 assert wit in sets
+
+
+def sat_paths(count):
+    """The reduction paths of the first random formulas of acceptance
+    criterion 4 (same generator, same seed)."""
+    rng = np.random.default_rng(4004)
+    for _ in range(count):
+        vs = int(rng.integers(1, 5))
+        combo = tuple(
+            tuple((int(rng.integers(1, vs + 1)), bool(rng.integers(0, 2))) for _ in range(3))
+            for _ in range(3)
+        )
+        nvars = max(v for cl in combo for v, _ in cl)
+        yield sat_to_path(CnfFormula(nvars, combo)).path
+
+
+class TestRainbowSearch:
+    def test_exists_and_count_agree_within_budget(self):
+        # reduction paths and sparse many-colour graphs, where a search that
+        # takes the colour classes in a fixed order needs far more nodes
+        graphs = list(sat_paths(40))
+        for p in (0.08, 0.12):
+            for c in (6, 8, 10):
+                graphs += [gen_gnpc(60, p, c, seed=[1212, c, s]) for s in range(4)]
+        for g in graphs:
+            ok, wit, _ = rainbow_exists(g, budget=10**5)
+            count = count_rainbow_ds(g, budget=10**5)
+            assert ok == (count > 0)
+            if ok:
+                assert is_rainbow(g, wit) and is_dominating(g, wit)
+
+    def test_exists_iff_gamma_t_equals_c(self):
+        checked = yes = 0
+        for n in (20, 25, 30):
+            for p in (0.15, 0.2, 0.3):
+                for c in (4, 6, 8, 10):
+                    for s in range(3):
+                        g = gen_gnpc(n, p, c, seed=[2323, n, round(100 * p), c, s])
+                        ok, _, _ = rainbow_exists(g)
+                        assert ok == (gamma_t(g).value == g.c)
+                        checked += 1
+                        yes += ok
+        assert checked == 108 and 0 < yes < checked
+
+    def test_result_fields(self):
+        res = rainbow_exists(p3())
+        assert res.exists is True
+        assert res.witness == frozenset({1, 2}) or res.witness == frozenset({2, 3})
+        assert res.explored == res[2] >= 1
+        assert rainbow_exists(build(2, [], [1, 1])).witness is None
 
 
 class TestCountRainbow:
