@@ -213,8 +213,16 @@ def _cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit with EXIT_INPUT: argparse's own code 2 is EXIT_BUDGET."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tropidom")
+    ap = _Parser(prog="tropidom")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="solve an instance file")

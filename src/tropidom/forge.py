@@ -151,12 +151,12 @@ def gen_gnpc(n: int, p: float, c: int, seed) -> ColouredGraph:
     if not (0 < p < 1) or not (1 <= c <= n):
         raise BadParametersError(f"need 0 < p < 1 and 1 <= c <= n, got p={p} c={c} n={n}")
     rng = np.random.default_rng(seed)
-    edges = [
-        (u, v)
-        for u in range(1, n + 1)
-        for v in range(u + 1, n + 1)
-        if rng.random() < p
-    ]
+    # one draw per pair (u, v), u < v, in the same order as a per-pair loop,
+    # taken one row u at a time so that no n^2/2 array is held
+    edges = []
+    for u in range(1, n):
+        hit = np.flatnonzero(rng.random(n - u) < p) + u + 1
+        edges.extend((u, v) for v in hit.tolist())
     resamples = 0
     while True:
         colours = (rng.integers(0, c, size=n) + 1).tolist()

@@ -1,13 +1,17 @@
 """Fixed-parameter algorithm for tropical domination on interval graphs.
 
 Vertices are reordered non-decreasingly by right endpoint (ties by vertex
-id). The table f(S, i) holds the least size of a proper i-prefix dominating
-set covering exactly the colour subset S; the scan over i is vectorised over
-all 2^c subsets at once with numpy, so the whole fill is O(2^c n^2).
+id). The representation is checked against the graph by a sweep over left
+endpoints in O(n log n + m). The table f(S, i) holds the least size of a
+proper i-prefix dominating set covering exactly the colour subset S; it is
+stored row-contiguously, one row of all 2^c subsets per position i, and each
+row is filled by numpy from the rows of the admissible predecessors P_i, so
+the fill is O(2^c * sum |P_i|), in the worst case O(2^c n^2).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -37,10 +41,6 @@ class IntervalInstance:
         """Colour by sorted position."""
         return tuple(self.graph.colour[v - 1] for v in self.order)
 
-    def contains(self, i: int, j: int) -> bool:
-        """I_j subseteq I_i, positions 1-indexed; equality counts."""
-        return self.l[i - 1] <= self.l[j - 1] and self.r[j - 1] <= self.r[i - 1]
-
 
 @dataclass(frozen=True)
 class PrefixTables:
@@ -59,17 +59,23 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
         raise RepresentationMismatchError(
             f"expected {g.n} intervals, got {len(pairs)}"
         )
+    # sweep by left endpoint: only w after u with l_w <= r_u can meet u
+    by_left = sorted(g.vertices, key=lambda v: pairs[v - 1][0])
+    lefts = [pairs[v - 1][0] for v in by_left]
+    meets = set()
+    for k, u in enumerate(by_left):
+        lu, ru = pairs[u - 1]
+        for w in by_left[k + 1 : bisect_right(lefts, ru)]:
+            if lu <= pairs[w - 1][1]:
+                meets.add((u, w) if u < w else (w, u))
     edge_set = set(g.edges)
-    for u in g.vertices:
-        for v in range(u + 1, g.n + 1):
-            lu, ru = pairs[u - 1]
-            lv, rv = pairs[v - 1]
-            meets = lu <= rv and lv <= ru
-            if meets != ((u, v) in edge_set):
-                raise RepresentationMismatchError(
-                    f"pair ({u},{v}): intervals {'meet' if meets else 'miss'} "
-                    f"but edge is {'present' if (u, v) in edge_set else 'absent'}"
-                )
+    if meets != edge_set:
+        u, v = min(meets ^ edge_set)  # the first differing pair in (u, v) order
+        meet = (u, v) in meets
+        raise RepresentationMismatchError(
+            f"pair ({u},{v}): intervals {'meet' if meet else 'miss'} "
+            f"but edge is {'absent' if meet else 'present'}"
+        )
     order = sorted(g.vertices, key=lambda v: (pairs[v - 1][1], v))
     return IntervalInstance(
         graph=g,
@@ -82,48 +88,38 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
 def prefix_tables(inst: IntervalInstance) -> PrefixTables:
     n = inst.n
     l, r = inst.l, inst.r
-    # a_i: least position j with r_j >= l_i (suffix property of sorted r)
-    a = []
-    for i in range(1, n + 1):
-        ai = next(j for j in range(1, n + 1) if r[j - 1] >= l[i - 1])
-        a.append(ai)
+    # a_i: least position j with r_j >= l_i (r is sorted)
+    a = [bisect_left(r, li) + 1 for li in l]
     # b_j: least position k > j with l_k > r_j; positions <= j are dominated
-    # by [1,j] itself, so only k > j can be the witness. b_0 = 1.
+    # by [1,j] itself, so only k > j can be the witness. b_0 = 1. The scan
+    # passes only neighbours of j, so all of b costs O(n + m).
     b = [1] + [0] * n
     for j in range(1, n + 1):
-        bj = n + 1
-        for k in range(j + 1, n + 1):
-            if l[k - 1] > r[j - 1]:
-                bj = k
-                break
-        b[j] = bj
+        b[j] = next((k for k in range(j + 1, n + 1) if l[k - 1] > r[j - 1]), n + 1)
+    # j < i is admissible iff b_j >= a_i and neither interval contains the
+    # other, which for r_j <= r_i means l_j < l_i and r_j < r_i
+    la, ba = np.array(l), np.array(b[1:])
     P = []
     for i in range(1, n + 1):
-        preds = [0] if a[i - 1] == 1 else []
-        for j in range(1, i):
-            if a[i - 1] <= b[j] and not inst.contains(i, j) and not inst.contains(j, i):
-                preds.append(j)
-        P.append(tuple(preds))
+        lim = bisect_left(r, r[i - 1])  # positions 1..lim have r_j < r_i
+        ok = (ba[:lim] >= a[i - 1]) & (la[:lim] < l[i - 1])
+        head = (0,) if a[i - 1] == 1 else ()
+        P.append(head + tuple((np.flatnonzero(ok) + 1).tolist()))
     return PrefixTables(a=tuple(a), b=tuple(b), P=tuple(P))
 
 
 def _fill_table(inst: IntervalInstance, tables: PrefixTables) -> np.ndarray:
     """f[S, i] for all colour subsets S and positions i in 0..n."""
-    c = inst.graph.c
-    n = inst.n
-    f = np.full((1 << c, n + 1), INF, dtype=np.int64)
+    f = np.full((inst.n + 1, 1 << inst.graph.c), INF, dtype=np.int64)
     f[0, 0] = 0
-    subsets = np.arange(1 << c)
-    for i in range(1, n + 1):
-        preds = tables.P[i - 1]
+    for i, preds in enumerate(tables.P, start=1):
         if not preds:
             continue
         colbit = 1 << (inst.colour_at[i - 1] - 1)
-        best = f[:, list(preds)].min(axis=1)
-        has = (subsets & colbit) != 0
-        sel = subsets[has]
-        f[sel, i] = 1 + np.minimum(best[sel], best[sel & ~colbit])
-    return f
+        # axis 1 of the (-1, 2, colbit) view splits subsets by the colour bit
+        best = np.minimum.reduce(f[list(preds)]).reshape(-1, 2, colbit)
+        f[i].reshape(-1, 2, colbit)[:, 1] = 1 + np.minimum(best[:, 0], best[:, 1])
+    return f.T
 
 
 def _reconstruct(inst: IntervalInstance, tables: PrefixTables, f, S: int, i: int):
@@ -157,7 +153,9 @@ def tdn_interval(inst: IntervalInstance, colour_cap: int = COLOUR_CAP) -> SolveR
     c, n = g.c, inst.n
     # candidate end positions: [1,i] must dominate the whole graph
     ends = [i for i in range(1, n + 1) if tables.b[i] == n + 1]
-    popcnt = np.array([bin(s).count("1") for s in range(1 << c)], dtype=np.int64)
+    popcnt = np.zeros(1, dtype=np.int64)
+    for _ in range(c):
+        popcnt = np.concatenate((popcnt, popcnt + 1))
     best_val, best_S, best_i = None, None, None
     for i in ends:
         vals = f[:, i] + (c - popcnt)

@@ -110,3 +110,51 @@ def random_interval_instance(rng, n_max=14, c_max=4, span=20):
         if len(set(colours)) == c:
             break
     return n, edges, colours, pairs
+
+
+def brute_prefix_tables(l, r):
+    """a, b and P of the interval DP, straight from their definitions.
+
+    l and r are the endpoints by sorted position (position i is index i-1).
+    a_i is the least j with r_j >= l_i; b_0 = 1 and b_j is the least k > j
+    with l_k > r_j, or n+1; P_i holds 0 when a_i = 1, then every j < i with
+    a_i <= b_j whose interval neither contains nor is contained in I_i.
+    """
+    n = len(l)
+
+    def contains(i, j):
+        return l[i - 1] <= l[j - 1] and r[j - 1] <= r[i - 1]
+
+    a = []
+    for i in range(1, n + 1):
+        a.append(min(j for j in range(1, n + 1) if r[j - 1] >= l[i - 1]))
+    b = [1]
+    for j in range(1, n + 1):
+        later = [k for k in range(j + 1, n + 1) if l[k - 1] > r[j - 1]]
+        b.append(min(later) if later else n + 1)
+    P = []
+    for i in range(1, n + 1):
+        preds = [0] if a[i - 1] == 1 else []
+        for j in range(1, i):
+            if a[i - 1] <= b[j] and not contains(i, j) and not contains(j, i):
+                preds.append(j)
+        P.append(tuple(preds))
+    return tuple(a), tuple(b), tuple(P)
+
+
+def gnpc_reference(n, p, c, seed):
+    """G(n, p) with uniform colours 1..c, one rng.random() call per pair.
+
+    Pairs (u, v), u < v, are drawn in lexicographic order; colours are
+    redrawn until all c appear. Returns (edges, colours).
+    """
+    rng = np.random.default_rng(seed)
+    edges = []
+    for u in range(1, n + 1):
+        for v in range(u + 1, n + 1):
+            if rng.random() < p:
+                edges.append((u, v))
+    while True:
+        colours = (rng.integers(0, c, size=n) + 1).tolist()
+        if len(set(colours)) == c:
+            return edges, colours

@@ -85,6 +85,28 @@ class TestSolve:
         assert "wall_ms" in json.loads(out_timed)
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--algo", "nope", "--input", "x"],
+        ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "5",
+         "--seed", "3", "--jobs", "2"],
+        ["solve", "--input", "x"],
+        [],
+    ])
+    def test_usage_error_exits_with_input_code(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert exc.value.code == EXIT_INPUT
+        assert out.out == "" and "usage: tropidom" in out.err and "error:" in out.err
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--help"])
+        assert exc.value.code == EXIT_OK
+        assert "usage: tropidom solve" in capsys.readouterr().out
+
+
 class TestGen:
     def test_gnpc_deterministic(self, capsys, tmp_path):
         files = []

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import gnpc_reference
 from tropidom import (
     CnfFormula,
     SubcubicGraph,
@@ -109,6 +110,14 @@ class TestGnpc:
         for seed in range(20):
             g = gen_gnpc(9, 0.4, 1, seed=seed)
             assert gamma(g).value == gamma_t(g).value
+
+    def test_matches_per_pair_reference(self):
+        cases = [(1, 0.5, 1, 0), (2, 0.9, 2, 3), (12, 0.3, 3, 1), (40, 0.5, 5, [7, 2]),
+                 (75, 0.05, 4, 11), (150, 0.7, 8, 5), (230, 0.02, 2, [1, 0, 230])]
+        for n, p, c, seed in cases:
+            edges, colours = gnpc_reference(n, p, c, seed)
+            g = gen_gnpc(n, p, c, seed=seed)
+            assert g.edges == tuple(edges) and g.colour == tuple(colours)
 
     def test_parameter_validation(self):
         with pytest.raises(BadParametersError):

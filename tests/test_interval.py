@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from _oracles import brute_gamma_t, random_interval_instance
+from _oracles import brute_gamma_t, brute_prefix_tables, random_interval_instance
 from tropidom import (
     build,
     build_interval_instance,
@@ -38,6 +38,55 @@ class TestBuild:
         with pytest.raises(RepresentationMismatchError):
             build_interval_instance(g, [(0, 2), (1, 3)])
 
+    def test_pair_list_equals_dict(self):
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            n, edges, colours, pairs = random_interval_instance(rng, n_max=30, span=8)
+            g = build(n, edges, colours)
+            as_list = [pairs[v] for v in range(1, n + 1)]
+            assert build_interval_instance(g, as_list) == build_interval_instance(g, pairs)
+
+    def test_mismatch_names_first_differing_pair(self):
+        # flip a few pairs; the message names the least (u, v) that differs
+        rng = np.random.default_rng(69)
+        kinds = set()
+        for _ in range(150):
+            n, edges, colours, pairs = random_interval_instance(
+                rng, n_max=40, span=int(rng.integers(3, 31))
+            )
+            if n < 2:
+                continue
+            flipped = set(edges)
+            for _ in range(int(rng.integers(1, 4))):
+                u, v = sorted(int(x) for x in rng.choice(n, 2, replace=False) + 1)
+                flipped ^= {(u, v)}
+            diff = flipped ^ set(edges)
+            if not diff:
+                continue
+            u, v = min(diff)
+            meet = (u, v) in edges
+            kinds.add(meet)
+            expected = (
+                f"pair ({u},{v}): intervals {'meet' if meet else 'miss'} "
+                f"but edge is {'absent' if meet else 'present'}"
+            )
+            with pytest.raises(RepresentationMismatchError) as exc:
+                build_interval_instance(build(n, sorted(flipped), colours), pairs)
+            assert str(exc.value) == expected
+        assert kinds == {True, False}
+
+    def test_mismatch_messages_by_hand(self):
+        for edges, message in (
+            ([], "pair (1,2): intervals meet but edge is absent"),
+            ([(1, 2), (2, 3)], "pair (2,3): intervals miss but edge is present"),
+        ):
+            with pytest.raises(RepresentationMismatchError) as exc:
+                build_interval_instance(build(3, edges, [1, 2, 1]), PAIRS)
+            assert str(exc.value) == message
+        # an inverted interval meets another only if l_u <= r_v and l_v <= r_u
+        g = build(2, [], [1, 1])
+        assert build_interval_instance(g, [(0, 10), (5, -1)]).order == (2, 1)
+
     def test_order_sorted_by_right_endpoint_then_id(self):
         g = build(3, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
         inst = build_interval_instance(g, {1: (0, 5), 2: (1, 5), 3: (2, 4)})
@@ -55,6 +104,16 @@ class TestPrefixTables:
         g = build(1, [], [1])
         t = prefix_tables(build_interval_instance(g, {1: (0, 1)}))
         assert t.a == (1,) and t.b == (1, 2) and t.P == ((0,),)
+
+    def test_matches_definition_oracle(self):
+        # small spans give many ties, nested and equal intervals
+        rng = np.random.default_rng(72)
+        for k in range(160):
+            n_max, span = (300, 40) if k % 20 == 0 else (30, int(rng.integers(2, 12)))
+            n, edges, colours, pairs = random_interval_instance(rng, n_max=n_max, span=span)
+            inst = build_interval_instance(build(n, edges, colours), pairs)
+            t = prefix_tables(inst)
+            assert (t.a, t.b, t.P) == brute_prefix_tables(inst.l, inst.r)
 
     def test_b_marks_dominating_prefixes(self):
         # b_j = infinity exactly when intervals 1..j dominate everything
