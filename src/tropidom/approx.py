@@ -31,9 +31,8 @@ def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
 
 
-def _generic_lower_bound(g: ColouredGraph) -> int:
+def _generic_lower_bound(g: ColouredGraph, big_delta: int) -> int:
     """max(c, ceil(n / (Delta+1))): both certified lower bounds on gamma^t."""
-    big_delta = degree_profile(g).big_delta
     return max(g.c, -(-g.n // (big_delta + 1)))
 
 
@@ -53,7 +52,7 @@ def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
     return ApproxResult(
         witness=frozenset(chosen),
         size=len(chosen),
-        lower_bound=_generic_lower_bound(g),
+        lower_bound=_generic_lower_bound(g, big_delta),
         ratio_bound=harmonic(big_delta + 2),
     )
 
@@ -67,7 +66,7 @@ def mds_plus_colours(g: ColouredGraph, ds) -> ApproxResult:
     return ApproxResult(
         witness=frozenset(out),
         size=len(out),
-        lower_bound=_generic_lower_bound(g),
+        lower_bound=_generic_lower_bound(g, degree_profile(g).big_delta),
         ratio_bound=None,
     )
 

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 JSON reports go to stdout, diagnostics to stderr. Exit codes: 0 success,
-1 usage or input error, 2 node budget exceeded. All randomness flows through
+1 usage or input error, 2 node budget exceeded, 3 internal error (a failed
+self-check or assertion, or memory exhausted). All randomness flows through
 explicit seeds so artifacts are byte-reproducible; wall-clock timing is only
 emitted with --timing to keep default output deterministic.
 """
@@ -22,6 +23,7 @@ from .graph import degree_profile, is_dominating, is_tropical
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_BUDGET = 2
+EXIT_INTERNAL = 3
 
 
 def _default_budget() -> int:
@@ -49,52 +51,32 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     g = inst.graph
     budget = args.budget or _default_budget()
-    payload: dict
-    if args.algo == "exact":
-        res = exact.gamma_t(g, budget=budget)
-        payload = {"value": res.value, "witness": sorted(res.witness), "explored": res.explored}
+    if args.algo == "exact-rainbow":
+        ok, witness, explored = exact.rainbow_exists(g, budget=budget)
+        payload = {"exists": ok, "witness": sorted(witness) if witness else None, "explored": explored}
+    elif args.algo in ("greedy", "path53"):
+        solver = approx.greedy_setcover_tds if args.algo == "greedy" else approx.path_five_thirds
+        res = solver(g)
         witness = res.witness
-        tropical = True
-    elif args.algo == "exact-rainbow":
-        ok, wit, explored = exact.rainbow_exists(g, budget=budget)
-        payload = {"exists": ok, "witness": sorted(wit) if wit else None, "explored": explored}
-        witness = wit
-        tropical = True
-    elif args.algo == "greedy":
-        res = approx.greedy_setcover_tds(g)
         payload = {
             "value": res.size,
-            "witness": sorted(res.witness),
+            "witness": sorted(witness),
             "lower_bound": res.lower_bound,
             "ratio_bound": str(res.ratio_bound),
         }
-        witness = res.witness
-        tropical = True
-    elif args.algo == "path53":
-        res = approx.path_five_thirds(g)
-        payload = {
-            "value": res.size,
-            "witness": sorted(res.witness),
-            "lower_bound": res.lower_bound,
-            "ratio_bound": "5/3",
-        }
-        witness = res.witness
-        tropical = True
-    elif args.algo == "interval":
-        if inst.intervals is None:
+    else:
+        if args.algo == "exact":
+            res = exact.gamma_t(g, budget=budget)
+        elif inst.intervals is None:
             raise NoRepresentationError("instance has no interval representation ('i' lines)")
-        ii = interval.build_interval_instance(g, inst.intervals)
-        res = interval.tdn_interval(ii)
-        payload = {"value": res.value, "witness": sorted(res.witness), "explored": res.explored}
+        else:
+            res = interval.tdn_interval(interval.build_interval_instance(g, inst.intervals))
         witness = res.witness
-        tropical = True
-    else:  # pragma: no cover - argparse restricts choices
-        raise TropidomError(f"unknown algo {args.algo}")
+        payload = {"value": res.value, "witness": sorted(witness), "explored": res.explored}
 
-    if witness is not None:
-        # self-check gate: never emit a witness that fails re-validation
-        if not is_dominating(g, witness) or (tropical and not is_tropical(g, witness)):
-            raise AssertionError("witness failed re-validation")
+    # self-check gate: never emit a witness that fails re-validation
+    if witness is not None and not (is_dominating(g, witness) and is_tropical(g, witness)):
+        raise AssertionError("witness failed re-validation")
     _emit({"command": "solve", "algo": args.algo, "instance": _digest(g), "result": payload}, args)
     return EXIT_OK
 
@@ -282,6 +264,9 @@ def main(argv=None) -> int:
     except (TropidomError, OSError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except (AssertionError, MemoryError) as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

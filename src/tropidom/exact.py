@@ -21,13 +21,9 @@ from .graph import ColouredGraph, complete_colours
 
 DEFAULT_BUDGET = 10**8
 
-DOMINATION = "DOMINATION"
-TROPICAL_DOMINATION = "TROPICAL_DOMINATION"
-
 
 @dataclass(frozen=True)
 class SolveResult:
-    kind: str
     value: int
     witness: frozenset[int]
     explored: int
@@ -160,13 +156,7 @@ def _solve(g: ColouredGraph, tropical: bool, budget: int) -> SolveResult:
         if found is not None:
             best = found
             break
-    kind = TROPICAL_DOMINATION if tropical else DOMINATION
-    return SolveResult(
-        kind=kind,
-        value=len(best),
-        witness=frozenset(best),
-        explored=counter.nodes,
-    )
+    return SolveResult(value=len(best), witness=frozenset(best), explored=counter.nodes)
 
 
 def gamma(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:

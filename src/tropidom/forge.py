@@ -209,11 +209,6 @@ def extremal_edge_bound(n: int, k: int, c: int) -> ColouredGraph:
     return build(n, edges, colours)
 
 
-def _legend_unique(counter: list[int]) -> str:
-    counter[0] += 1
-    return f"unique{counter[0]}"
-
-
 def sat_to_path(f: CnfFormula) -> ReductionArtifact:
     """3-SAT -> vertex-coloured path whose rainbow dominating sets encode
     satisfying assignments.
@@ -320,8 +315,6 @@ def vc_to_path(g: SubcubicGraph) -> ReductionArtifact:
         slots = [e_col(inc[0]) if len(inc) >= 1 else BLACK,
                  e_col(inc[1]) if len(inc) >= 2 else BLACK,
                  e_col(inc[2]) if len(inc) >= 3 else BLACK]
-        if len(inc) == 1:
-            slots = [e_col(inc[0]), BLACK, BLACK]
         anchors[f"block_{j}"] = len(colours) + 1
         colours += [slots[0], BLACK, slots[1], BLACK, BLACK, slots[2]]
         anchors[f"V_{j}"] = len(colours) + 1

@@ -7,7 +7,7 @@ chain of integer ORs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
@@ -23,7 +23,6 @@ from .errors import (
 class DegreeProfile:
     delta: int
     big_delta: int
-    degree: dict[int, int]
 
 
 @dataclass(frozen=True)
@@ -84,31 +83,6 @@ class ColouredGraph:
 
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v - 1]
-
-    def closed_neighbourhood(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[v - 1] + (v,)))
-
-    def colour_class(self, k: int) -> tuple[int, ...]:
-        return tuple(v for v in self.vertices if self.colour[v - 1] == k)
-
-    def set_mask(self, s: Iterable[int]) -> int:
-        mask = 0
-        for v in s:
-            if not 1 <= v <= self.n:
-                raise OutOfRangeError(f"vertex {v} not in 1..{self.n}")
-            mask |= 1 << (v - 1)
-        return mask
-
-    @staticmethod
-    def mask_to_set(mask: int) -> frozenset[int]:
-        out = []
-        v = 1
-        while mask:
-            if mask & 1:
-                out.append(v)
-            mask >>= 1
-            v += 1
-        return frozenset(out)
 
 
 def build(n: int, edges, colours) -> ColouredGraph:
@@ -174,12 +148,8 @@ def is_rainbow(g: ColouredGraph, s) -> bool:
 
 
 def degree_profile(g: ColouredGraph) -> DegreeProfile:
-    degree = {v: len(g.adjacency[v - 1]) for v in g.vertices}
-    return DegreeProfile(
-        delta=min(degree.values()),
-        big_delta=max(degree.values()),
-        degree=degree,
-    )
+    degrees = [len(a) for a in g.adjacency]
+    return DegreeProfile(delta=min(degrees), big_delta=max(degrees))
 
 
 def is_connected(g: ColouredGraph) -> bool:

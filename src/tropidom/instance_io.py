@@ -124,9 +124,8 @@ def write_instance(
     g: ColouredGraph,
     intervals: dict[int, tuple[int, int]] | None = None,
     legend: dict[int, str] | None = None,
-    comments: list[str] | None = None,
 ) -> str:
-    lines = [f"# {c}" for c in (comments or [])]
+    lines = []
     for k in sorted(legend or {}):
         lines.append(f"# legend {k} {legend[k]}")
     lines.append(f"p tdgs {g.n} {g.m} {g.c}")

@@ -18,11 +18,11 @@ from functools import cached_property
 import numpy as np
 
 from .errors import RepresentationMismatchError, TooManyColoursError
-from .exact import TROPICAL_DOMINATION, SolveResult
+from .exact import SolveResult
 from .graph import ColouredGraph, complete_colours
 
 INF = np.int64(1) << 40
-COLOUR_CAP = 24
+TABLE_BYTES = 1 << 30  # largest DP table tdn_interval allocates
 
 
 @dataclass(frozen=True)
@@ -143,11 +143,19 @@ def _reconstruct(inst: IntervalInstance, tables: PrefixTables, f, S: int, i: int
     return sorted(picks)
 
 
-def tdn_interval(inst: IntervalInstance, colour_cap: int = COLOUR_CAP) -> SolveResult:
-    """Minimum tropical dominating set via the O(2^c n^2) subset DP."""
+def tdn_interval(inst: IntervalInstance) -> SolveResult:
+    """Minimum tropical dominating set via the O(2^c n^2) subset DP.
+
+    Raises TooManyColoursError before allocating a table of more than
+    TABLE_BYTES bytes.
+    """
     g = inst.graph
-    if g.c > colour_cap:
-        raise TooManyColoursError(f"c={g.c} exceeds cap {colour_cap}")
+    size = (inst.n + 1) * (1 << g.c) * INF.itemsize
+    if size > TABLE_BYTES:
+        raise TooManyColoursError(
+            f"c={g.c}, n={inst.n}: the DP table needs {size} bytes, "
+            f"over the limit of {TABLE_BYTES}"
+        )
     tables = prefix_tables(inst)
     f = _fill_table(inst, tables)
     c, n = g.c, inst.n
@@ -166,12 +174,7 @@ def tdn_interval(inst: IntervalInstance, colour_cap: int = COLOUR_CAP) -> SolveR
         raise RepresentationMismatchError("no prefix dominates the graph")
     positions = _reconstruct(inst, tables, f, best_S, best_i)
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
-    return SolveResult(
-        kind=TROPICAL_DOMINATION,
-        value=best_val,
-        witness=frozenset(witness),
-        explored=(1 << c) * (n + 1),
-    )
+    return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
 
 
 def path_intervals(n: int) -> dict[int, tuple[int, int]]:

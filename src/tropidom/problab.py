@@ -121,61 +121,73 @@ def concentration_window(n: int, p: float) -> tuple[int, int]:
     return (low, low + 1)
 
 
+def _run_trials(seed: int, trials: int, trial) -> list[TrialRecord]:
+    """Record trial(rng_seed) -> (outcome, statistic) for t in range(trials);
+    a trial that exhausts its node budget becomes an error record."""
+    records = []
+    for t in range(trials):
+        tseed = (int(seed), t)
+        t0 = time.perf_counter()
+        try:
+            outcome, stat = trial(list(tseed))
+            error = None
+        except BudgetExceededError as exc:
+            outcome, stat, error = None, None, str(exc)
+        records.append(TrialRecord(t, tseed, outcome, stat, (time.perf_counter() - t0) * 1e3, error))
+    return records
+
+
+def _mean_stderr(values: list, binary: bool) -> tuple[float | None, float | None]:
+    """Sample mean and its standard error; binary values use sqrt(m(1-m)/k)."""
+    if not values:
+        return None, None
+    mean = float(np.mean(values))
+    if len(values) == 1:
+        return mean, None
+    if binary:
+        return mean, float(math.sqrt(mean * (1 - mean) / len(values)))
+    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
+
+
+def _rainbow_trials(model: RandomModel, trials: int, budget: int, counting: bool):
+    """Per trial: existence of a rainbow dominating set in G(n,p,c) and, when
+    counting, their exact number (existence is then count > 0)."""
+
+    def trial(seed):
+        g = forge.gen_gnpc(model.n, model.p, model.c, seed=seed)
+        if counting:
+            count = exact.count_rainbow_ds(g, budget=budget)
+            return count > 0, count
+        return exact.rainbow_exists(g, budget=budget).exists, None
+
+    return _run_trials(model.seed, trials, trial)
+
+
+def _model_params(model: RandomModel) -> dict:
+    return {"n": model.n, "p": model.p, "c": model.c, "seed": model.seed}
+
+
 def run_threshold_experiment(
-    model: RandomModel,
-    trials: int,
-    budget: int = exact.DEFAULT_BUDGET,
-    count_exact: bool | None = None,
+    model: RandomModel, trials: int, budget: int = exact.DEFAULT_BUDGET
 ) -> ExperimentReport:
     """Sample G(n,p,c) and test rainbow dominating set existence per trial.
 
-    outcome: True/False existence; statistic: exact rainbow-DS count when the
-    instance is small enough to enumerate (or when forced via count_exact).
+    outcome: True/False existence; statistic: exact rainbow-DS count when
+    n <= 16, small enough to enumerate. The summary is the mean count against
+    its expectation when counted, else the fraction of trials with a set.
     """
-    if count_exact is None:
-        count_exact = model.n <= 16
-    records = []
-    successes = []
-    counts = []
-    for t in range(trials):
-        seed = (int(model.seed), t)
-        t0 = time.perf_counter()
-        try:
-            g = forge.gen_gnpc(model.n, model.p, model.c, seed=list(seed))
-            ok, _, _ = exact.rainbow_exists(g, budget=budget)
-            stat = exact.count_rainbow_ds(g, budget=budget) if count_exact else None
-            records.append(
-                TrialRecord(t, seed, ok, stat, (time.perf_counter() - t0) * 1e3)
-            )
-            successes.append(1.0 if ok else 0.0)
-            if stat is not None:
-                counts.append(stat)
-        except BudgetExceededError as exc:
-            records.append(
-                TrialRecord(
-                    t, seed, None, None, (time.perf_counter() - t0) * 1e3, str(exc)
-                )
-            )
-    if counts:
-        mean = float(np.mean(counts))
-        stderr = float(np.std(counts, ddof=1) / math.sqrt(len(counts))) if len(counts) > 1 else None
+    counting = model.n <= 16
+    records = _rainbow_trials(model, trials, budget, counting)
+    done = [r for r in records if r.error is None]
+    if counting and done:
+        mean, stderr = _mean_stderr([r.statistic for r in done], binary=False)
         reference = expected_rainbow_count(model)
     else:
-        mean = float(np.mean(successes)) if successes else None
-        stderr = (
-            float(math.sqrt(mean * (1 - mean) / len(successes)))
-            if successes and len(successes) > 1
-            else None
-        )
+        mean, stderr = _mean_stderr([1.0 if r.outcome else 0.0 for r in done], binary=True)
         reference = None
     return ExperimentReport(
-        kind="threshold",
-        params={"n": model.n, "p": model.p, "c": model.c, "seed": model.seed},
-        trials=trials,
-        records=records,
-        empirical_mean=mean,
-        reference_value=reference,
-        stderr=stderr,
+        "threshold", _model_params(model), trials, records,
+        empirical_mean=mean, reference_value=reference, stderr=stderr,
     )
 
 
@@ -192,32 +204,17 @@ def run_concentration_experiment(
     """Exact domination number per trial; outcome is gamma, the summary is the
     fraction of trials landing inside the two-point window."""
     window = concentration_window(n, p)
-    records = []
-    inside = []
-    for t in range(trials):
-        tseed = (int(seed), t)
-        t0 = time.perf_counter()
-        try:
-            g = forge.gen_gnpc(n, p, 1, seed=list(tseed))
-            res = exact.gamma(g, budget=budget)
-            hit = window[0] <= res.value <= window[1]
-            records.append(
-                TrialRecord(t, tseed, res.value, int(hit), (time.perf_counter() - t0) * 1e3)
-            )
-            inside.append(1.0 if hit else 0.0)
-        except BudgetExceededError as exc:
-            records.append(
-                TrialRecord(t, tseed, None, None, (time.perf_counter() - t0) * 1e3, str(exc))
-            )
-    mean = float(np.mean(inside)) if inside else None
+
+    def trial(tseed):
+        value = exact.gamma(forge.gen_gnpc(n, p, 1, seed=tseed), budget=budget).value
+        return value, int(window[0] <= value <= window[1])
+
+    records = _run_trials(seed, trials, trial)
+    mean, stderr = _mean_stderr([float(r.statistic) for r in records if r.error is None], binary=True)
+    params = {"n": n, "p": p, "c": 1, "seed": seed, "window": list(window)}
     return ExperimentReport(
-        kind="concentration",
-        params={"n": n, "p": p, "c": 1, "seed": seed, "window": list(window)},
-        trials=trials,
-        records=records,
-        empirical_mean=mean,
-        reference_value=1.0,
-        stderr=float(math.sqrt(mean * (1 - mean) / len(inside))) if inside and len(inside) > 1 else None,
+        "concentration", params, trials, records,
+        empirical_mean=mean, reference_value=1.0, stderr=stderr,
     )
 
 
@@ -225,15 +222,11 @@ def run_expectation_experiment(
     model: RandomModel, trials: int, budget: int = exact.DEFAULT_BUDGET
 ) -> ExperimentReport:
     """Mean exact rainbow-DS count vs the closed-form expectation."""
-    report = run_threshold_experiment(model, trials, budget=budget, count_exact=True)
+    records = _rainbow_trials(model, trials, budget, counting=True)
+    mean, stderr = _mean_stderr([r.statistic for r in records if r.error is None], binary=False)
     return ExperimentReport(
-        kind="expectation",
-        params=report.params,
-        trials=report.trials,
-        records=report.records,
-        empirical_mean=report.empirical_mean,
-        reference_value=expected_rainbow_count(model),
-        stderr=report.stderr,
+        "expectation", _model_params(model), trials, records,
+        empirical_mean=mean, reference_value=expected_rainbow_count(model), stderr=stderr,
     )
 
 

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
-from tropidom import build, gamma_t, parse_instance, write_instance
-from tropidom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
+from tropidom import SolveResult, build, exact, gamma_t, parse_instance, write_instance
+from tropidom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 P3 = "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 1 2\ne 2 3\n"
 
@@ -75,6 +78,15 @@ class TestSolve:
         monkeypatch.setenv("TROPIDOM_BUDGET", "1")
         code, _, _ = run(capsys, "solve", "--algo", "exact", "--input", str(f))
         assert code == EXIT_BUDGET
+
+    def test_invalid_witness_is_an_internal_error(self, capsys, p3_file, monkeypatch):
+        # {1} does not dominate P3, so the self-check gate must refuse it
+        monkeypatch.setattr(
+            exact, "gamma_t", lambda g, budget: SolveResult(1, frozenset({1}), 0)
+        )
+        code, out, err = run(capsys, "solve", "--algo", "exact", "--input", p3_file)
+        assert code == EXIT_INTERNAL
+        assert out == "" and err.startswith("internal error: ") and "Traceback" not in err
 
     def test_timing_flag(self, capsys, p3_file):
         _, out_plain, _ = run(capsys, "solve", "--algo", "exact", "--input", p3_file)
@@ -231,3 +243,51 @@ class TestExperiment:
             assert code == EXIT_OK
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+ALGOS = ("exact", "exact-rainbow", "greedy", "path53", "interval")
+# budget 20 fails 4 of the threshold trials and 1 of the expectation trials
+GOLDEN_CASES = {
+    "gen_gnpc": ["gen", "gnpc", "-n", "14", "-p", "0.3", "-c", "4", "--seed", "5",
+                 "--out", "g.tdgs"],
+    "gen_vc": ["gen", "vc", "--edges", "cover.edges", "--path-intervals", "--out", "v.tdgs"],
+    **{
+        f"solve_{algo}_{inp[0]}": ["solve", "--algo", algo, "--input", inp]
+        for inp in ("g.tdgs", "v.tdgs")
+        for algo in ALGOS
+    },
+    "audit": ["audit", "--input", "g.tdgs"],
+    "threshold": ["experiment", "threshold", "-n", "14", "-p", "0.3", "-c", "5",
+                  "--trials", "8", "--seed", "3", "--budget", "20", "--csv", "threshold.csv"],
+    "expectation": ["experiment", "expectation", "-n", "12", "-p", "0.3", "-c", "5",
+                    "--trials", "8", "--seed", "4", "--budget", "20",
+                    "--csv", "expectation.csv"],
+}
+
+
+def golden_outputs() -> dict:
+    """Exit code and stdout of every golden case, run in order in the working
+    directory, plus the experiment CSVs without their runtime_ms column."""
+    Path("cover.edges").write_text("1 2\n2 3\n1 3\n3 4\n")
+    outputs = {}
+    for name, argv in GOLDEN_CASES.items():
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        outputs[name] = {"code": code, "stdout": stdout.getvalue()}
+        if "--csv" in argv:
+            rows = Path(argv[-1]).read_text().splitlines()
+            outputs[name]["csv"] = [row.rsplit(",", 1)[0] for row in rows]
+    return outputs
+
+
+def test_golden_cli_outputs(tmp_path, monkeypatch):
+    """Exit codes, stdout and CSVs equal tests/cli_golden.json byte for byte.
+
+    The file was captured before the solve branches and the experiment trial
+    loops were merged; to recapture, dump golden_outputs() as JSON from an
+    empty directory.
+    """
+    monkeypatch.chdir(tmp_path)
+    golden = json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+    assert golden_outputs() == golden

@@ -1,8 +1,12 @@
+import string
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import random_coloured_graph, random_interval_instance
-from tropidom import build, parse_instance, write_instance
+from _oracles import random_coloured_graph
+from tropidom import Instance, build, parse_instance, write_instance
 from tropidom.errors import ParseError
 
 GOOD = """\
@@ -33,17 +37,36 @@ def test_round_trip_random_graphs():
         assert inst.graph == g
 
 
-def test_round_trip_with_intervals_and_legend():
-    rng = np.random.default_rng(29)
-    for _ in range(40):
-        n, edges, colours, pairs = random_interval_instance(rng, n_max=8)
-        g = build(n, edges, colours)
-        legend = {k: f"label{k}" for k in range(1, g.c + 1)}
-        text = write_instance(g, intervals=pairs, legend=legend, comments=["generated"])
-        inst = parse_instance(text)
-        assert inst.graph == g
-        assert inst.intervals == pairs
-        assert inst.legend == legend
+@st.composite
+def interval_instances(draw):
+    """An interval graph with its representation (or none) and a colour legend."""
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(1, c), min_size=n - c, max_size=n - c))
+    colours = draw(st.permutations(list(range(1, c + 1)) + extra))
+    pairs = {}
+    for v in range(1, n + 1):
+        lo = draw(st.integers(-50, 50))
+        pairs[v] = (lo, lo + draw(st.integers(0, 20)))
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
+    ]
+    label = st.text(string.ascii_letters + string.digits + string.punctuation, min_size=1, max_size=8)
+    return Instance(
+        graph=build(n, edges, colours),
+        intervals=draw(st.one_of(st.none(), st.just(pairs))),
+        legend=draw(st.dictionaries(st.integers(1, c), label)),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(interval_instances())
+def test_round_trip_with_intervals_and_legend(inst):
+    text = write_instance(inst.graph, intervals=inst.intervals, legend=inst.legend)
+    assert parse_instance(text) == inst
 
 
 @pytest.mark.parametrize(

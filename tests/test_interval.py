@@ -139,11 +139,12 @@ class TestTdn:
         assert res.value == 1 and res.witness == {1}
 
     def test_colour_cap(self):
-        n = 4
-        g = build(n, [(i, i + 1) for i in range(1, n)], list(range(1, n + 1)))
+        # (100 + 1) * 2^24 int64 cells is 12.6 GiB: refused before allocation
+        n, c = 100, 24
+        g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
         inst = build_interval_instance(g, path_intervals(n))
-        with pytest.raises(TooManyColoursError):
-            tdn_interval(inst, colour_cap=3)
+        with pytest.raises(TooManyColoursError, match=f"needs {101 * 2**24 * 8} bytes"):
+            tdn_interval(inst)
 
     def test_matches_exact_oracle_random(self):
         rng = np.random.default_rng(73)
