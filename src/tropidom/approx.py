@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from . import graph as gc
 from .errors import NotAPathError, NotDominatingError
-from .exact import _greedy_cover
+from .exact import _greedy_cover, _lower_bound
 from .graph import ColouredGraph, degree_profile, path_order
 
 log = logging.getLogger(__name__)
@@ -29,11 +29,6 @@ class ApproxResult:
 
 def harmonic(k: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
-
-
-def _generic_lower_bound(g: ColouredGraph, big_delta: int) -> int:
-    """max(c, ceil(n / (Delta+1))): both certified lower bounds on gamma^t."""
-    return max(g.c, -(-g.n // (big_delta + 1)))
 
 
 def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
@@ -52,7 +47,7 @@ def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
     return ApproxResult(
         witness=frozenset(chosen),
         size=len(chosen),
-        lower_bound=_generic_lower_bound(g, big_delta),
+        lower_bound=_lower_bound(g),
         ratio_bound=harmonic(big_delta + 2),
     )
 
@@ -66,7 +61,7 @@ def mds_plus_colours(g: ColouredGraph, ds) -> ApproxResult:
     return ApproxResult(
         witness=frozenset(out),
         size=len(out),
-        lower_bound=_generic_lower_bound(g, degree_profile(g).big_delta),
+        lower_bound=_lower_bound(g),
         ratio_bound=None,
     )
 
@@ -90,12 +85,9 @@ def path_five_thirds(g: ColouredGraph) -> ApproxResult:
         raise NotAPathError("graph is not a simple path")
     n, c = g.n, g.c
     colour_at = [g.colour[order[p - 1] - 1] for p in range(1, n + 1)]  # by position
-
-    def first_pos_of_colour(k, exclude=()):
-        for p in range(1, n + 1):
-            if colour_at[p - 1] == k and p not in exclude:
-                return p
-        return None
+    first_pos: dict[int, int] = {}
+    for p in range(1, n + 1):
+        first_pos.setdefault(colour_at[p - 1], p)
 
     candidates = []
     total_completion = 0
@@ -114,7 +106,7 @@ def path_five_thirds(g: ColouredGraph) -> ApproxResult:
         )
         if front_needed:
             if special:
-                pick = 2 if n >= 2 else 1
+                pick = 2
             elif colour_at[0] in missing:
                 pick = 1
             elif n >= 2 and colour_at[1] in missing:
@@ -126,20 +118,19 @@ def path_five_thirds(g: ColouredGraph) -> ApproxResult:
         if back_needed and not extra & {n - 1, n}:
             if colour_at[n - 1] in missing:
                 pick = n
-            elif colour_at[n - 2] in missing and n - 1 not in sigma:
+            elif colour_at[n - 2] in missing:
                 pick = n - 1
             else:
                 pick = n
             extra.add(pick)
             missing.discard(colour_at[pick - 1])
-        for k in sorted(missing):
-            p = first_pos_of_colour(k, exclude=extra)
-            extra.add(p if p is not None else first_pos_of_colour(k))
+        # each pick removed its own colour, so no first position is in extra
+        extra.update(first_pos[k] for k in missing)
         s_i = sigma | extra
         total_completion += len(extra)
         candidates.append(s_i)
 
-    if n + total_completion > n + 2 * c:
+    if total_completion > 2 * c:
         log.warning(
             "path repair used %d completion vertices (> 2c = %d) on n=%d c=%d",
             total_completion,

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -26,9 +25,11 @@ EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
 
-def _default_budget() -> int:
-    env = os.environ.get("TROPIDOM_BUDGET")
-    return int(env) if env else exact.DEFAULT_BUDGET
+def _budget(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"node budget must be at least 1, got {value}")
+    return value
 
 
 def _digest(g) -> dict:
@@ -50,9 +51,8 @@ def _load_instance(path: str) -> instance_io.Instance:
 def _cmd_solve(args) -> int:
     inst = _load_instance(args.input)
     g = inst.graph
-    budget = args.budget or _default_budget()
     if args.algo == "exact-rainbow":
-        ok, witness, explored = exact.rainbow_exists(g, budget=budget)
+        ok, witness, explored = exact.rainbow_exists(g, budget=args.budget)
         payload = {"exists": ok, "witness": sorted(witness) if witness else None, "explored": explored}
     elif args.algo in ("greedy", "path53"):
         solver = approx.greedy_setcover_tds if args.algo == "greedy" else approx.path_five_thirds
@@ -66,7 +66,7 @@ def _cmd_solve(args) -> int:
         }
     else:
         if args.algo == "exact":
-            res = exact.gamma_t(g, budget=budget)
+            res = exact.gamma_t(g, budget=args.budget)
         elif inst.intervals is None:
             raise NoRepresentationError("instance has no interval representation ('i' lines)")
         else:
@@ -138,12 +138,11 @@ def _cmd_audit(args) -> int:
         paths = sorted(str(p) for p in Path(args.corpus).iterdir() if p.is_file())
     else:
         raise TropidomError("audit needs --input FILE or --corpus DIR")
-    budget = args.budget or _default_budget()
     reports = []
     for path in paths:
         g = _load_instance(path).graph
-        gt = exact.gamma_t(g, budget=budget).value
-        gv = exact.gamma(g, budget=budget).value
+        gt = exact.gamma_t(g, budget=args.budget).value
+        gv = exact.gamma(g, budget=args.budget).value
         rep = problab.audit_bounds(g, gt, gv)
         reports.append(
             {
@@ -170,20 +169,19 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    budget = args.budget or _default_budget()
     if args.experiment == "threshold":
         c = args.c if args.c else problab.threshold_colours(args.n, args.p)
         model = problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
-        report = problab.run_threshold_experiment(model, args.trials, budget=budget)
+        report = problab.run_threshold_experiment(model, args.trials, budget=args.budget)
         summary = report.to_json_dict()
         summary["success_fraction"] = problab.success_fraction(report)
     elif args.experiment == "expectation":
         model = problab.RandomModel(n=args.n, p=args.p, c=args.c, seed=args.seed)
-        report = problab.run_expectation_experiment(model, args.trials, budget=budget)
+        report = problab.run_expectation_experiment(model, args.trials, budget=args.budget)
         summary = report.to_json_dict()
     elif args.experiment == "concentration":
         report = problab.run_concentration_experiment(
-            args.n, args.p, args.trials, seed=args.seed, budget=budget
+            args.n, args.p, args.trials, seed=args.seed, budget=args.budget
         )
         summary = report.to_json_dict()
         summary["window"] = report.params["window"]
@@ -210,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--algo", required=True, choices=["exact", "exact-rainbow", "greedy", "path53", "interval"])
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -234,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="audit the upper bounds on instances")
     p.add_argument("--input")
     p.add_argument("--corpus")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_audit)
 
@@ -246,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", "-T", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_experiment)
     return ap

@@ -13,7 +13,7 @@ hangs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
@@ -90,8 +90,14 @@ def _dominator_intersection(g: ColouredGraph, undominated: int) -> int:
     return cand
 
 
-def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
-    """Depth-first search for a (tropical) dominating set of size <= k.
+def _lower_bound(g: ColouredGraph) -> int:
+    """max(c, ceil(n / max|N[v]|)): both certified lower bounds on gamma_t."""
+    max_cover = max(m.bit_count() for m in g.closed_mask)
+    return max(g.c, -(-g.n // max_cover))
+
+
+def _search(g: ColouredGraph, k: int, counter: _Counter):
+    """Depth-first search for a tropical dominating set of size <= k.
 
     Returns the witness as a vertex list or None. Completeness: any target set
     must hit the closed neighbourhood of the lowest undominated vertex, and
@@ -105,13 +111,10 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
     def dfs(covered: int, colours: int, chosen: list[int]):
         counter.tick()
         remaining = k - len(chosen)
-        if tropical:
-            missing = g.c - colours.bit_count()
-        else:
-            missing = 0
+        missing = g.c - colours.bit_count()
         if covered == full:
             if missing <= remaining:
-                return complete_colours(g, chosen) if tropical else list(chosen)
+                return complete_colours(g, chosen)
             return None
         if remaining == 0:
             return None
@@ -120,13 +123,11 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
             return None
         if remaining == 1:
             cand = _dominator_intersection(g, undominated)
-            if tropical and missing == 1:
+            if missing == 1:
                 cand &= g.colour_mask[(all_colours & ~colours).bit_length() - 1]
-            elif missing > 1:
-                return None
             if cand:
                 v = (cand & -cand).bit_length()
-                return complete_colours(g, chosen + [v]) if tropical else chosen + [v]
+                return complete_colours(g, chosen + [v])
             return None
         low = undominated & -undominated
         for i in _iter_bits(closed[low.bit_length() - 1]):
@@ -140,19 +141,11 @@ def _search(g: ColouredGraph, k: int, tropical: bool, counter: _Counter):
     return dfs(0, 0, [])
 
 
-def _solve(g: ColouredGraph, tropical: bool, budget: int) -> SolveResult:
+def _solve(g: ColouredGraph, budget: int) -> SolveResult:
     counter = _Counter(budget)
-    ub_set = greedy_dominating(g)
-    if tropical:
-        ub_set = complete_colours(g, ub_set)
-    ub = len(ub_set)
-    max_cover = max(m.bit_count() for m in g.closed_mask)
-    lb = -(-g.n // max_cover)
-    if tropical:
-        lb = max(lb, g.c)
-    best = sorted(ub_set)
-    for k in range(lb, ub):
-        found = _search(g, k, tropical, counter)
+    best = sorted(complete_colours(g, greedy_dominating(g)))
+    for k in range(_lower_bound(g), len(best)):
+        found = _search(g, k, counter)
         if found is not None:
             best = found
             break
@@ -160,13 +153,14 @@ def _solve(g: ColouredGraph, tropical: bool, budget: int) -> SolveResult:
 
 
 def gamma(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Minimum dominating set; colours ignored."""
-    return _solve(g, tropical=False, budget=budget)
+    """Minimum dominating set, as gamma_t of the one-coloured copy of g
+    (built by ``replace``, so none of g's cached masks carries over)."""
+    return _solve(replace(g, colour=(1,) * g.n, c=1), budget)
 
 
 def gamma_t(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     """Minimum tropical dominating set."""
-    return _solve(g, tropical=True, budget=budget)
+    return _solve(g, budget)
 
 
 def _rainbow_dfs(g: ColouredGraph, counter: _Counter, first: bool):

@@ -161,18 +161,14 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     c, n = g.c, inst.n
     # candidate end positions: [1,i] must dominate the whole graph
     ends = [i for i in range(1, n + 1) if tables.b[i] == n + 1]
-    popcnt = np.zeros(1, dtype=np.int64)
-    for _ in range(c):
-        popcnt = np.concatenate((popcnt, popcnt + 1))
-    best_val, best_S, best_i = None, None, None
-    for i in ends:
-        vals = f[:, i] + (c - popcnt)
-        S = int(vals.argmin())
-        if best_val is None or vals[S] < best_val:
-            best_val, best_S, best_i = int(vals[S]), S, i
-    if best_val is None or best_val >= INF:
+    # total size per (end, subset): the prefix set plus one vertex per
+    # missing colour; the row-major argmin takes the least end, then subset
+    totals = f[:, ends].T + (c - np.bitwise_count(np.arange(1 << c)))
+    e, best_S = divmod(int(totals.argmin()), 1 << c)
+    best_val = int(totals[e, best_S])
+    if best_val >= INF:
         raise RepresentationMismatchError("no prefix dominates the graph")
-    positions = _reconstruct(inst, tables, f, best_S, best_i)
+    positions = _reconstruct(inst, tables, f, best_S, ends[e])
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
 

@@ -31,10 +31,6 @@ class RandomModel:
         if not 0 < self.p < 1:
             raise BadParametersError(f"need 0 < p < 1, got {self.p}")
 
-    @property
-    def b(self) -> float:
-        return 1.0 / (1.0 - self.p)
-
 
 @dataclass
 class TrialRecord:

@@ -17,6 +17,8 @@ from tropidom import (
     path_lower_bound,
 )
 from tropidom.approx import harmonic
+from tropidom.graph import path_order
+from tropidom.interval import build_interval_instance, path_intervals, tdn_interval
 from tropidom.errors import NotAPathError, NotDominatingError
 
 
@@ -121,3 +123,22 @@ class TestPathFiveThirds:
                     assert res.size <= Fraction(5, 3) * gt
                     assert res.size <= (n + 2 * c) // 3 + 1
                     assert res.lower_bound <= gt
+
+    def test_relabelled_paths_differential(self):
+        # path order differs from id order, so positions and ids diverge
+        rng = np.random.default_rng(5353)
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            c = int(rng.integers(1, min(4, n) + 1))
+            ids = [int(v) + 1 for v in rng.permutation(n)]
+            colours = list(range(1, c + 1)) + (rng.integers(0, c, size=n - c) + 1).tolist()
+            rng.shuffle(colours)
+            g = build(n, [(ids[i], ids[i + 1]) for i in range(n - 1)], colours)
+            order = path_order(g)
+            canon = path_intervals(n)
+            inst = build_interval_instance(g, {order[i]: canon[i + 1] for i in range(n)})
+            exact, dp, res = gamma_t(g), tdn_interval(inst), path_five_thirds(g)
+            assert path_lower_bound(g) <= exact.value == dp.value <= res.size
+            assert res.size <= Fraction(5, 3) * exact.value
+            for w in (dp.witness, res.witness):
+                assert is_dominating(g, w) and is_tropical(g, w)

@@ -70,15 +70,6 @@ class TestSolve:
         )
         assert code == EXIT_BUDGET and err
 
-    def test_budget_env_var(self, capsys, tmp_path, monkeypatch):
-        edges = [(i, i + 1) for i in range(1, 12)] + [(1, 12)]
-        g = build(12, edges, [(i % 3) + 1 for i in range(12)])
-        f = tmp_path / "g.tdgs"
-        f.write_text(write_instance(g))
-        monkeypatch.setenv("TROPIDOM_BUDGET", "1")
-        code, _, _ = run(capsys, "solve", "--algo", "exact", "--input", str(f))
-        assert code == EXIT_BUDGET
-
     def test_invalid_witness_is_an_internal_error(self, capsys, p3_file, monkeypatch):
         # {1} does not dominate P3, so the self-check gate must refuse it
         monkeypatch.setattr(
@@ -103,6 +94,8 @@ class TestUsageErrors:
         ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "5",
          "--seed", "3", "--jobs", "2"],
         ["solve", "--input", "x"],
+        ["solve", "--algo", "exact", "--input", "x", "--budget", "0"],
+        ["solve", "--algo", "exact", "--input", "x", "--budget", "-5"],
         [],
     ])
     def test_usage_error_exits_with_input_code(self, capsys, argv):
