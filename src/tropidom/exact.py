@@ -13,11 +13,11 @@ hangs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import BudgetExceededError
-from .graph import ColouredGraph, complete_colours
+from .graph import ColouredGraph, _iter_bits, complete_colours
 
 DEFAULT_BUDGET = 10**8
 
@@ -46,13 +46,6 @@ class _Counter:
         self.nodes += 1
         if self.nodes > self.budget:
             raise BudgetExceededError(f"node budget {self.budget} exhausted")
-
-
-def _iter_bits(mask):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _greedy_cover(sets, target: int) -> list[int]:
@@ -153,9 +146,8 @@ def _solve(g: ColouredGraph, budget: int) -> SolveResult:
 
 
 def gamma(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
-    """Minimum dominating set, as gamma_t of the one-coloured copy of g
-    (built by ``replace``, so none of g's cached masks carries over)."""
-    return _solve(replace(g, colour=(1,) * g.n, c=1), budget)
+    """Minimum dominating set, as gamma_t of the one-coloured copy of g."""
+    return _solve(g.one_coloured(), budget)
 
 
 def gamma_t(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:

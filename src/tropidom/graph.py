@@ -7,7 +7,7 @@ chain of integer ORs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
@@ -84,6 +84,24 @@ class ColouredGraph:
     def neighbours(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v - 1]
 
+    def one_coloured(self) -> ColouredGraph:
+        """The same graph with every vertex in colour 1.
+
+        The copy shares this graph's neighbourhood masks, which do not depend
+        on the colours; its colour_mask is built anew.
+        """
+        h = replace(self, colour=(1,) * self.n, c=1)
+        vars(h).update(adj_mask=self.adj_mask, closed_mask=self.closed_mask)
+        return h
+
+
+def _iter_bits(mask: int):
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
 
 def build(n: int, edges, colours) -> ColouredGraph:
     """Validate and assemble a coloured graph; c = max colour id."""
@@ -158,13 +176,8 @@ def is_connected(g: ColouredGraph) -> bool:
     frontier = 1
     while frontier:
         nxt = 0
-        m = frontier
-        i = 0
-        while m:
-            if m & 1:
-                nxt |= g.adj_mask[i]
-            m >>= 1
-            i += 1
+        for i in _iter_bits(frontier):
+            nxt |= g.adj_mask[i]
         frontier = nxt & ~reached
         reached |= nxt
     return reached == g.full_mask

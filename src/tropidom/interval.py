@@ -4,14 +4,16 @@ Vertices are reordered non-decreasingly by right endpoint (ties by vertex
 id). The representation is checked against the graph by a sweep over left
 endpoints in O(n log n + m). The table f(S, i) holds the least size of a
 proper i-prefix dominating set covering exactly the colour subset S; it is
-stored row-contiguously, one row of all 2^c subsets per position i, and each
-row is filled by numpy from the rows of the admissible predecessors P_i, so
-the fill is O(2^c * sum |P_i|), in the worst case O(2^c n^2).
+stored row-contiguously, one row of all 2^c subsets per position i, in the
+smallest unsigned integer dtype that holds 2n + 1, and each row is filled by
+numpy from the rows of the admissible predecessors P_i, so the fill is
+O(2^c * sum |P_i|), in the worst case O(2^c n^2). The P_i come from one
+vectorised test over windows of candidate positions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -21,8 +23,8 @@ from .errors import RepresentationMismatchError, TooManyColoursError
 from .exact import SolveResult
 from .graph import ColouredGraph, complete_colours
 
-INF = np.int64(1) << 40
 TABLE_BYTES = 1 << 30  # largest DP table tdn_interval allocates
+_MASK_CELLS = 1 << 16  # window cells per block of the admissibility test
 
 
 @dataclass(frozen=True)
@@ -85,62 +87,106 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
     )
 
 
-def prefix_tables(inst: IntervalInstance) -> PrefixTables:
+def _table_dtype(n: int) -> np.dtype:
+    """Smallest unsigned dtype for the DP table of n positions.
+
+    Unreachable cells start at the sentinel max - n > n, above every
+    reachable size (<= n). A cell of position i is at most the sentinel
+    plus i, so an unreachable cell stays above n and never wraps.
+    """
+    return np.min_scalar_type(2 * n + 1)
+
+
+def _prefix_arrays(inst: IntervalInstance):
+    """a (by position), b (by j in 0..n) and the predecessor lists P_i as
+    one flat array with row offsets: P_i is preds[start[i-1]:start[i]]."""
     n = inst.n
-    l, r = inst.l, inst.r
+    l, r = np.array(inst.l), np.array(inst.r)
     # a_i: least position j with r_j >= l_i (r is sorted)
-    a = [bisect_left(r, li) + 1 for li in l]
-    # b_j: least position k > j with l_k > r_j; positions <= j are dominated
-    # by [1,j] itself, so only k > j can be the witness. b_0 = 1. The scan
-    # passes only neighbours of j, so all of b costs O(n + m).
-    b = [1] + [0] * n
-    for j in range(1, n + 1):
-        b[j] = next((k for k in range(j + 1, n + 1) if l[k - 1] > r[j - 1]), n + 1)
+    a = np.searchsorted(r, l) + 1
+    # b_j: least k > j with l_k > r_j, or n + 1; position k serves every
+    # j <= min(k - 1, a_k - 1), so b_j is the first k whose running maximum
+    # of that bound reaches j (b_0 = 1)
+    reach = np.maximum.accumulate(np.minimum(np.arange(n), a - 1))
+    b = np.searchsorted(reach, np.arange(n + 1)) + 1
     # j < i is admissible iff b_j >= a_i and neither interval contains the
-    # other, which for r_j <= r_i means l_j < l_i and r_j < r_i
-    la, ba = np.array(l), np.array(b[1:])
-    P = []
-    for i in range(1, n + 1):
-        lim = bisect_left(r, r[i - 1])  # positions 1..lim have r_j < r_i
-        ok = (ba[:lim] >= a[i - 1]) & (la[:lim] < l[i - 1])
-        head = (0,) if a[i - 1] == 1 else ()
-        P.append(head + tuple((np.flatnonzero(ok) + 1).tolist()))
-    return PrefixTables(a=tuple(a), b=tuple(b), P=tuple(P))
+    # other, which for r_j <= r_i means l_j < l_i and r_j < r_i. b is
+    # non-decreasing, so b_j >= a_i and r_j < r_i hold exactly on a window
+    # lo_i <= j <= hi_i; position 0 (b_0 = 1) stands left of every interval.
+    lo = np.searchsorted(b, a)
+    hi = np.searchsorted(r, r)
+    l0 = np.concatenate(([l.min() - 1], l))
+    width = np.maximum(hi - lo + 1, 0)
+    wend = np.cumsum(width)
+    # the windows laid end to end, tested for l_j < l_i in blocks of rows
+    # holding at most _MASK_CELLS cells (or one longer window) each
+    preds, kept = [], []
+    i0 = 0
+    while i0 < n:
+        base = int(wend[i0] - width[i0])  # cells before row i0
+        i1 = max(i0 + 1, int(np.searchsorted(wend, base + _MASK_CELLS, "right")))
+        w = width[i0:i1]
+        # cell t of the block is j = lo_i + t - (cells before row i)
+        shift = np.repeat(lo[i0:i1] - (wend[i0:i1] - w - base), w)
+        cols = np.arange(int(wend[i1 - 1]) - base) + shift
+        hit = np.flatnonzero(l0[cols] < np.repeat(l[i0:i1], w))
+        preds.append(cols[hit])
+        kept.append(hit + base)
+        i0 = i1
+    start = np.concatenate(([0], np.searchsorted(np.concatenate(kept), wend)))
+    return a, b, np.concatenate(preds), start
 
 
-def _fill_table(inst: IntervalInstance, tables: PrefixTables) -> np.ndarray:
-    """f[S, i] for all colour subsets S and positions i in 0..n."""
-    f = np.full((inst.n + 1, 1 << inst.graph.c), INF, dtype=np.int64)
+def prefix_tables(inst: IntervalInstance) -> PrefixTables:
+    """a, b and the predecessor lists P_i of the DP, as tuples."""
+    a, b, preds, start = _prefix_arrays(inst)
+    flat, start = preds.tolist(), start.tolist()
+    P = tuple(tuple(flat[s:e]) for s, e in zip(start, start[1:]))
+    return PrefixTables(a=tuple(a.tolist()), b=tuple(b.tolist()), P=P)
+
+
+def _fill_table(inst: IntervalInstance, preds, start) -> np.ndarray:
+    """f[i, S] for all positions i in 0..n and colour subsets S."""
+    n, c = inst.n, inst.graph.c
+    dtype = _table_dtype(n)
+    f = np.full((n + 1, 1 << c), np.iinfo(dtype).max - n, dtype=dtype)
     f[0, 0] = 0
-    for i, preds in enumerate(tables.P, start=1):
-        if not preds:
+    best = np.empty(1 << c, dtype=dtype)
+    # axis -2 of the (..., 2, 2^k) views splits the subsets by colour bit k
+    views = [(f.reshape(n + 1, -1, 2, 1 << k), best.reshape(-1, 2, 1 << k)) for k in range(c)]
+    flat, bounds = preds.tolist(), start.tolist()
+    for i, colour in enumerate(inst.colour_at, start=1):
+        s, e = bounds[i - 1], bounds[i]
+        if s == e:
             continue
-        colbit = 1 << (inst.colour_at[i - 1] - 1)
-        # axis 1 of the (-1, 2, colbit) view splits subsets by the colour bit
-        best = np.minimum.reduce(f[list(preds)]).reshape(-1, 2, colbit)
-        f[i].reshape(-1, 2, colbit)[:, 1] = 1 + np.minimum(best[:, 0], best[:, 1])
-    return f.T
+        # most P_i are runs of consecutive positions, reduced from a slice
+        j0, j1 = flat[s], flat[e - 1]
+        rows = f[j0 : j1 + 1] if j1 - j0 == e - s - 1 else f[preds[s:e]]
+        np.minimum.reduce(rows, out=best)
+        table, split = views[colour - 1]
+        out = table[i, :, 1]
+        np.minimum(split[:, 0], split[:, 1], out=out)
+        out += 1
+    return f
 
 
-def _reconstruct(inst: IntervalInstance, tables: PrefixTables, f, S: int, i: int):
-    """Walk the recursion back from (S, i); returns sorted positions."""
+def _reconstruct(inst: IntervalInstance, preds, start, f, S: int, i: int):
+    """Walk the recursion back from (i, S); returns sorted positions."""
     picks = []
     while i != 0:
         picks.append(i)
-        colbit = 1 << (inst.colour_at[i - 1] - 1)
-        target = f[S, i] - 1
-        found = False
-        for j in tables.P[i - 1]:
-            for S2 in (S & ~colbit, S):
-                if f[S2, j] == target:
-                    S, i = S2, j
-                    found = True
-                    break
-            if found:
-                break
-        assert found, "dp table inconsistent during reconstruction"
+        target = f.item(i, S) - 1
+        rest = S & ~(1 << (inst.colour_at[i - 1] - 1))
+        # the first predecessor, then the first of (rest, S), that gives f[i, S]
+        step = next(
+            ((j, S2) for j in preds[start[i - 1] : start[i]].tolist() for S2 in (rest, S)
+             if f.item(j, S2) == target),
+            None,
+        )
+        assert step is not None, "dp table inconsistent during reconstruction"
+        i, S = step
     assert S == 0
-    return sorted(picks)
+    return picks[::-1]
 
 
 def tdn_interval(inst: IntervalInstance) -> SolveResult:
@@ -150,25 +196,27 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     TABLE_BYTES bytes.
     """
     g = inst.graph
-    size = (inst.n + 1) * (1 << g.c) * INF.itemsize
+    c, n = g.c, inst.n
+    size = (n + 1) * (1 << c) * _table_dtype(n).itemsize
     if size > TABLE_BYTES:
         raise TooManyColoursError(
-            f"c={g.c}, n={inst.n}: the DP table needs {size} bytes, "
+            f"c={c}, n={n}: the DP table needs {size} bytes, "
             f"over the limit of {TABLE_BYTES}"
         )
-    tables = prefix_tables(inst)
-    f = _fill_table(inst, tables)
-    c, n = g.c, inst.n
-    # candidate end positions: [1,i] must dominate the whole graph
-    ends = [i for i in range(1, n + 1) if tables.b[i] == n + 1]
+    _, b, preds, start = _prefix_arrays(inst)
+    f = _fill_table(inst, preds, start)
+    # candidate end positions, where [1,i] dominates the whole graph: b is
+    # non-decreasing, so they are the positions from the first b_i = n + 1 on
+    first_end = int(np.searchsorted(b, n + 1))
     # total size per (end, subset): the prefix set plus one vertex per
-    # missing colour; the row-major argmin takes the least end, then subset
-    totals = f[:, ends].T + (c - np.bitwise_count(np.arange(1 << c)))
+    # missing colour; the row-major argmin takes the least end, then subset.
+    # A reachable total is at most n and an unreachable cell is above n.
+    totals = f[first_end:].astype(np.int64) + (c - np.bitwise_count(np.arange(1 << c)))
     e, best_S = divmod(int(totals.argmin()), 1 << c)
     best_val = int(totals[e, best_S])
-    if best_val >= INF:
+    if best_val > n:
         raise RepresentationMismatchError("no prefix dominates the graph")
-    positions = _reconstruct(inst, tables, f, best_S, ends[e])
+    positions = _reconstruct(inst, preds, start, f, best_S, first_end + e)
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
 

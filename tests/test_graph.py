@@ -138,6 +138,13 @@ class TestMasks:
             for v, nbrs in enumerate(closed_neighbourhoods(n, edges), 1):
                 assert g.closed_mask[v - 1] == sum(1 << (u - 1) for u in nbrs)
 
+    def test_one_coloured_shares_neighbourhood_masks(self):
+        g = p3()
+        h = g.one_coloured()
+        assert (h.n, h.edges, h.colour, h.c) == (3, g.edges, (1, 1, 1), 1)
+        assert h.adj_mask is g.adj_mask and h.closed_mask is g.closed_mask
+        assert h.colour_mask == (0b111,) and g.colour_mask == (0b101, 0b010)
+
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.data())

@@ -1,18 +1,29 @@
+import hashlib
+import json
+from bisect import bisect_right
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from _oracles import brute_gamma_t, brute_prefix_tables, random_interval_instance
 from tropidom import (
+    SubcubicGraph,
     build,
     build_interval_instance,
     gamma_t,
     is_dominating,
     is_tropical,
     path_intervals,
+    path_order,
     prefix_tables,
     tdn_interval,
+    vc_to_path,
 )
+from tropidom import interval
 from tropidom.errors import RepresentationMismatchError, TooManyColoursError
+from tropidom.graph import ColouredGraph
+from tropidom.interval import IntervalInstance
 
 PAIRS = {1: (0, 2), 2: (1, 3), 3: (4, 5)}
 
@@ -115,6 +126,35 @@ class TestPrefixTables:
             t = prefix_tables(inst)
             assert (t.a, t.b, t.P) == brute_prefix_tables(inst.l, inst.r)
 
+    def test_matches_definition_oracle_across_row_blocks(self, monkeypatch):
+        # 500 intervals on [0, 40] meet most earlier ones: their windows
+        # {j : b_j >= a_i, r_j < r_i} hold more cells than one block
+        n = 500
+        rng = np.random.default_rng(74)
+        pairs = {v: tuple(sorted(int(x) for x in rng.integers(0, 41, size=2))) for v in range(1, n + 1)}
+        edges = [
+            (u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)
+            if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
+        ]
+        inst = build_interval_instance(build(n, edges, [1] * n), pairs)
+        a, b, P = brute_prefix_tables(inst.l, inst.r)
+        r0 = (float("-inf"),) + inst.r
+        cells = sum(b[j] >= a[i] and r0[j] < inst.r[i] for i in range(n) for j in range(n + 1))
+        assert cells > interval._MASK_CELLS
+        t = prefix_tables(inst)
+        assert (t.a, t.b, t.P) == (a, b, P)
+        # blocks of a few cells, and windows longer than a block
+        rng = np.random.default_rng(75)
+        for block in (1, 5, 64):
+            monkeypatch.setattr(interval, "_MASK_CELLS", block)
+            for _ in range(20):
+                n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
+                inst = build_interval_instance(build(n, edges, colours), pairs)
+                t = prefix_tables(inst)
+                assert (t.a, t.b, t.P) == brute_prefix_tables(inst.l, inst.r)
+                if n <= 16:
+                    assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
+
     def test_b_marks_dominating_prefixes(self):
         # b_j = infinity exactly when intervals 1..j dominate everything
         rng = np.random.default_rng(71)
@@ -139,12 +179,30 @@ class TestTdn:
         assert res.value == 1 and res.witness == {1}
 
     def test_colour_cap(self):
-        # (100 + 1) * 2^24 int64 cells is 12.6 GiB: refused before allocation
+        # (100 + 1) * 2^24 one-byte cells is 1.6 GiB: refused before allocation
         n, c = 100, 24
         g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
         inst = build_interval_instance(g, path_intervals(n))
-        with pytest.raises(TooManyColoursError, match=f"needs {101 * 2**24 * 8} bytes"):
+        with pytest.raises(TooManyColoursError, match=f"needs {101 * 2**24 * 1} bytes"):
             tdn_interval(inst)
+
+    @pytest.mark.parametrize(
+        "n, c, itemsize",
+        # a table cell takes the fewest bytes that hold 2n + 1
+        [(127, 24, 1), (128, 24, 2), (32767, 15, 2), (32768, 15, 4), (2**31 - 1, 1, 4), (2**31, 1, 8)],
+    )
+    def test_refusal_names_table_bytes(self, n, c, itemsize):
+        if n < 2**31 - 1:
+            g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
+            inst = build_interval_instance(g, path_intervals(n))
+        else:  # too large to build: only n and c are read before the refusal
+            inst = IntervalInstance(ColouredGraph(n=n, edges=(), colour=(), c=c), (), (), ())
+        size = (n + 1) * 2**c * itemsize
+        with pytest.raises(TooManyColoursError) as exc:
+            tdn_interval(inst)
+        assert str(exc.value) == (
+            f"c={c}, n={n}: the DP table needs {size} bytes, over the limit of {2**30}"
+        )
 
     def test_matches_exact_oracle_random(self):
         rng = np.random.default_rng(73)
@@ -162,6 +220,75 @@ class TestTdn:
             g = build(n, edges, colours)
             res = tdn_interval(build_interval_instance(g, pairs))
             assert res.value == brute_gamma_t(n, edges, colours)
+
+
+def _interval_graph(rng, n, c, span):
+    """n random intervals on [0, span + 20] and their intersection graph."""
+    left = rng.integers(0, span, size=n)
+    right = left + rng.integers(0, 21, size=n)
+    by_left = np.argsort(left, kind="stable").tolist()
+    lefts = sorted(left.tolist())
+    edges = set()
+    for k, u in enumerate(by_left):
+        for w in by_left[k + 1 : bisect_right(lefts, int(right[u]))]:
+            edges.add((min(u, w) + 1, max(u, w) + 1))
+    colours = [1 + v % c for v in rng.permutation(n).tolist()]
+    pairs = {v + 1: (int(left[v]), int(right[v])) for v in range(n)}
+    return build(n, sorted(edges), colours), pairs
+
+
+def pinned_cases() -> dict:
+    """Seeded instances: vertex-cover reduction paths with 10 to 16 colours
+    and random interval graphs, some with n on both sides of the
+    uint8/uint16 (127/128) and uint16/uint32 (32767/32768) table dtypes."""
+    cases = {}
+    rng = np.random.default_rng(2026)
+    for k, (n, m) in enumerate(
+        [(5, 4), (5, 5), (5, 6), (5, 7), (6, 5), (6, 6), (6, 7), (6, 8), (6, 9)] * 2
+    ):
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        while True:
+            deg, edges = [0] * (n + 1), []
+            for e in rng.permutation(len(pairs)).tolist():
+                u, v = pairs[e]
+                if len(edges) < m and deg[u] < 3 and deg[v] < 3:
+                    edges.append((u, v))
+                    deg[u] += 1
+                    deg[v] += 1
+            if len(edges) == m and min(deg[1:]) > 0:
+                break
+        g = vc_to_path(SubcubicGraph(n, tuple(edges))).path
+        canon = path_intervals(g.n)
+        cases[f"vc{k}-c{g.c}"] = (g, {v: canon[i] for i, v in enumerate(path_order(g), 1)})
+    for n in (1, 2, 3, 5, 8, 12, 20, 40, 126, 127, 128, 129, 126, 127, 128, 129, 127, 128, 200,
+              32767, 32768):
+        c = int(rng.integers(1, min(n, 6) + 1))
+        span = 4 * n if n > 200 else int(rng.choice([n // 4 + 1, 2 * n, 4 * n]))
+        cases[f"random{len(cases)}-n{n}-c{c}-span{span}"] = _interval_graph(rng, n, c, span)
+    return cases
+
+
+def pinned_results() -> dict:
+    """[value, sorted witness, explored] per case; a witness of more than 64
+    vertices is given as the SHA-256 of its comma-joined sorted ids."""
+    out = {}
+    for name, (g, pairs) in pinned_cases().items():
+        res = tdn_interval(build_interval_instance(g, pairs))
+        witness = sorted(res.witness)
+        if len(witness) > 64:
+            witness = hashlib.sha256(",".join(map(str, witness)).encode()).hexdigest()
+        out[name] = [res.value, witness, res.explored]
+    return out
+
+
+def test_pinned_tdn_interval():
+    """(value, sorted witness, explored) equal tests/interval_pinned.json.
+
+    The file was captured while the table was int64 and the predecessor
+    lists were tuples; to recapture, dump pinned_results() as JSON.
+    """
+    pinned = json.loads(Path(__file__).with_name("interval_pinned.json").read_text())
+    assert pinned_results() == pinned
 
 
 class TestPathIntervals:
