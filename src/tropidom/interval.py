@@ -5,8 +5,8 @@ id). The representation is checked against the graph by a sweep over left
 endpoints in O(n log n + m). The table f(S, i) holds the least size of a
 proper i-prefix dominating set covering exactly the colour subset S; it is
 stored row-contiguously, one row of all 2^c subsets per position i, in the
-smallest unsigned integer dtype that holds 2n + 1, and each row is filled by
-numpy from the rows of the admissible predecessors P_i, so the fill is
+smallest unsigned integer dtype that holds 2n + c + 1, and each row is filled
+by numpy from the rows of the admissible predecessors P_i, so the fill is
 O(2^c * sum |P_i|), in the worst case O(2^c n^2). The P_i come from one
 vectorised test over windows of candidate positions.
 """
@@ -87,14 +87,14 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
     )
 
 
-def _table_dtype(n: int) -> np.dtype:
-    """Smallest unsigned dtype for the DP table of n positions.
+def _table_dtype(n: int, c: int) -> np.dtype:
+    """Smallest unsigned dtype for the DP table of n positions and c colours.
 
-    Unreachable cells start at the sentinel max - n > n, above every
+    Unreachable cells start at the sentinel max - n - c > n, above every
     reachable size (<= n). A cell of position i is at most the sentinel
-    plus i, so an unreachable cell stays above n and never wraps.
+    plus i, so adding a missing-colour count (<= c) to any cell never wraps.
     """
-    return np.min_scalar_type(2 * n + 1)
+    return np.min_scalar_type(2 * n + c + 1)
 
 
 def _prefix_arrays(inst: IntervalInstance):
@@ -148,24 +148,19 @@ def prefix_tables(inst: IntervalInstance) -> PrefixTables:
 def _fill_table(inst: IntervalInstance, preds, start) -> np.ndarray:
     """f[i, S] for all positions i in 0..n and colour subsets S."""
     n, c = inst.n, inst.graph.c
-    dtype = _table_dtype(n)
-    f = np.full((n + 1, 1 << c), np.iinfo(dtype).max - n, dtype=dtype)
+    dtype = _table_dtype(n, c)
+    f = np.full((n + 1, 1 << c), np.iinfo(dtype).max - n - c, dtype=dtype)
     f[0, 0] = 0
-    best = np.empty(1 << c, dtype=dtype)
-    # axis -2 of the (..., 2, 2^k) views splits the subsets by colour bit k
-    views = [(f.reshape(n + 1, -1, 2, 1 << k), best.reshape(-1, 2, 1 << k)) for k in range(c)]
-    flat, bounds = preds.tolist(), start.tolist()
+    bounds = start.tolist()
     for i, colour in enumerate(inst.colour_at, start=1):
         s, e = bounds[i - 1], bounds[i]
         if s == e:
             continue
-        # most P_i are runs of consecutive positions, reduced from a slice
-        j0, j1 = flat[s], flat[e - 1]
-        rows = f[j0 : j1 + 1] if j1 - j0 == e - s - 1 else f[preds[s:e]]
-        np.minimum.reduce(rows, out=best)
-        table, split = views[colour - 1]
-        out = table[i, :, 1]
-        np.minimum(split[:, 0], split[:, 1], out=out)
+        colbit = 1 << (colour - 1)
+        # axis 1 of the (-1, 2, colbit) view splits subsets by the colour bit
+        best = np.minimum.reduce(f[preds[s:e]]).reshape(-1, 2, colbit)
+        out = f[i].reshape(-1, 2, colbit)[:, 1]
+        np.minimum(best[:, 0], best[:, 1], out=out)
         out += 1
     return f
 
@@ -197,7 +192,7 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     """
     g = inst.graph
     c, n = g.c, inst.n
-    size = (n + 1) * (1 << c) * _table_dtype(n).itemsize
+    size = (n + 1) * (1 << c) * _table_dtype(n, c).itemsize
     if size > TABLE_BYTES:
         raise TooManyColoursError(
             f"c={c}, n={n}: the DP table needs {size} bytes, "
@@ -210,8 +205,10 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     first_end = int(np.searchsorted(b, n + 1))
     # total size per (end, subset): the prefix set plus one vertex per
     # missing colour; the row-major argmin takes the least end, then subset.
-    # A reachable total is at most n and an unreachable cell is above n.
-    totals = f[first_end:].astype(np.int64) + (c - np.bitwise_count(np.arange(1 << c)))
+    # A reachable total is at most n and an unreachable cell is above n; the
+    # table's headroom keeps the sums in its dtype.
+    missing = (c - np.bitwise_count(np.arange(1 << c))).astype(f.dtype)
+    totals = f[first_end:] + missing
     e, best_S = divmod(int(totals.argmin()), 1 << c)
     best_val = int(totals[e, best_S])
     if best_val > n:

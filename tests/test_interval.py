@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
 
@@ -187,22 +188,43 @@ class TestTdn:
             tdn_interval(inst)
 
     @pytest.mark.parametrize(
-        "n, c, itemsize",
-        # a table cell takes the fewest bytes that hold 2n + 1
-        [(127, 24, 1), (128, 24, 2), (32767, 15, 2), (32768, 15, 4), (2**31 - 1, 1, 4), (2**31, 1, 8)],
+        "c, top, itemsize",
+        # a table cell takes the fewest bytes whose largest value top is at
+        # least 2n + c + 1; both n on each side of a boundary are refused
+        [(24, 2**8 - 1, 1), (25, 2**8 - 1, 1), (15, 2**16 - 1, 2), (16, 2**16 - 1, 2),
+         (1, 2**32 - 1, 4), (2, 2**32 - 1, 4)],
     )
-    def test_refusal_names_table_bytes(self, n, c, itemsize):
-        if n < 2**31 - 1:
-            g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
-            inst = build_interval_instance(g, path_intervals(n))
-        else:  # too large to build: only n and c are read before the refusal
-            inst = IntervalInstance(ColouredGraph(n=n, edges=(), colour=(), c=c), (), (), ())
-        size = (n + 1) * 2**c * itemsize
-        with pytest.raises(TooManyColoursError) as exc:
-            tdn_interval(inst)
-        assert str(exc.value) == (
-            f"c={c}, n={n}: the DP table needs {size} bytes, over the limit of {2**30}"
-        )
+    def test_refusal_names_table_bytes(self, c, top, itemsize):
+        last = (top - c - 1) // 2  # the largest n with itemsize-byte cells
+        for n, size in ((last, itemsize), (last + 1, 2 * itemsize)):
+            if n < 2**20:
+                g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
+                inst = build_interval_instance(g, path_intervals(n))
+            else:  # too large to build: only n and c are read before the refusal
+                inst = IntervalInstance(ColouredGraph(n=n, edges=(), colour=(), c=c), (), (), ())
+            with pytest.raises(TooManyColoursError) as exc:
+                tdn_interval(inst)
+            assert str(exc.value) == (
+                f"c={c}, n={n}: the DP table needs {(n + 1) * 2**c * size} bytes, "
+                f"over the limit of {2**30}"
+            )
+
+    def test_clique_answer_needs_one_table_copy(self):
+        # the first position dominates a clique, so the argmin sees every row;
+        # its totals stay in the table's dtype, one copy of the end rows
+        n, c = 100, 14
+        g = build(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)],
+                  [1 + v % c for v in range(n)])
+        inst = build_interval_instance(g, {v: (v, n + v) for v in range(1, n + 1)})
+        table = (n + 1) * 2**c  # bytes: 2n + c + 1 <= 255 gives one-byte cells
+        tracemalloc.start()
+        try:
+            res = tdn_interval(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == c and is_tropical(g, res.witness) and is_dominating(g, res.witness)
+        assert peak < 2.5 * table
 
     def test_matches_exact_oracle_random(self):
         rng = np.random.default_rng(73)
@@ -240,7 +262,7 @@ def _interval_graph(rng, n, c, span):
 def pinned_cases() -> dict:
     """Seeded instances: vertex-cover reduction paths with 10 to 16 colours
     and random interval graphs, some with n on both sides of the
-    uint8/uint16 (127/128) and uint16/uint32 (32767/32768) table dtypes."""
+    uint8/uint16 and uint16/uint32 table dtypes."""
     cases = {}
     rng = np.random.default_rng(2026)
     for k, (n, m) in enumerate(
@@ -263,6 +285,11 @@ def pinned_cases() -> dict:
     for n in (1, 2, 3, 5, 8, 12, 20, 40, 126, 127, 128, 129, 126, 127, 128, 129, 127, 128, 200,
               32767, 32768):
         c = int(rng.integers(1, min(n, 6) + 1))
+        span = 4 * n if n > 200 else int(rng.choice([n // 4 + 1, 2 * n, 4 * n]))
+        cases[f"random{len(cases)}-n{n}-c{c}-span{span}"] = _interval_graph(rng, n, c, span)
+    # the table's dtype holds 2n + c + 1: n = 124 | 125 at c = 6 and
+    # n = 32765 | 32766 at c = 4 are on both sides of a boundary
+    for n, c in ((124, 6), (125, 6), (32765, 4), (32766, 4)):
         span = 4 * n if n > 200 else int(rng.choice([n // 4 + 1, 2 * n, 4 * n]))
         cases[f"random{len(cases)}-n{n}-c{c}-span{span}"] = _interval_graph(rng, n, c, span)
     return cases
