@@ -46,10 +46,8 @@ from .graph import (
 from .instance_io import Instance, parse_instance, write_instance
 from .interval import (
     IntervalInstance,
-    PrefixTables,
     build_interval_instance,
     path_intervals,
-    prefix_tables,
     tdn_interval,
 )
 from .problab import (

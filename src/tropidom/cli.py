@@ -115,8 +115,6 @@ def _cmd_gen(args) -> int:
     elif args.generator == "pad":
         base = _load_instance(args.input)
         g = forge.pad_colours(base.graph, args.epsilon)
-    else:  # pragma: no cover
-        raise TropidomError(f"unknown generator {args.generator}")
     if args.path_intervals:
         from .graph import path_order
 
@@ -185,8 +183,6 @@ def _cmd_experiment(args) -> int:
         )
         summary = report.to_json_dict()
         summary["window"] = report.params["window"]
-    else:  # pragma: no cover
-        raise TropidomError(f"unknown experiment {args.experiment}")
     if args.csv:
         Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n")
     _emit({"command": "experiment", "experiment": args.experiment, "summary": summary}, args)

@@ -328,7 +328,7 @@ def vc_to_path(g: SubcubicGraph) -> ReductionArtifact:
         path=path,
         colour_legend=legend,
         anchors=anchors,
-        meta={"kind": "vc", "n": n, "m": m, "edge_index": edge_index, "incident": incident},
+        meta={"kind": "vc", "n": n},
     )
 
 
@@ -336,8 +336,9 @@ def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:
     """Back-translate a tropical dominating set of the reduction path into a
     vertex cover of the source subcubic graph.
 
-    Normalizes sigma block by block, then takes v_j whenever all three edge
-    slots of block j survive the normalization.
+    Pushes the picks of every black triplet onto the blocks, then takes v_j
+    whenever block j holds more than two picks: normalising such a block
+    replaces its picks by its three edge slots.
     """
     if art.meta.get("kind") != "vc":
         raise WrongArtifactError("artifact was not produced by vc_to_path")
@@ -360,28 +361,14 @@ def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:
             pushed.discard(third)
             pushed.add(third + 1)  # first slot of block j+1
 
-    sigma_p: set[int] = set()
-    # keep every S_j vertex and the second black of V_0
-    sigma_p.add(2)
-    for j in range(1, n + 1):
-        sigma_p.add(art.anchors[f"V_{j}"] + 1)
-    # per 6-block: exactly two picks -> they are the 2nd and 5th (black);
-    # more than two -> replace by the three edge slots
-    for j in range(1, n + 1):
-        base = art.anchors[f"block_{j}"]
-        block = set(range(base, base + 6))
-        picked = len(pushed & block)
-        assert picked >= 2, "a tropical dominating set places >= 2 picks per block"
-        if picked == 2:
-            sigma_p.add(base + 1)
-            sigma_p.add(base + 4)
-        else:
-            sigma_p.update({base, base + 2, base + 5})
-
+    # per 6-block: exactly two picks normalise to the two inner blacks and
+    # leave v_j out; more than two normalise to the three edge slots, v_j in
     cover = set()
     for j in range(1, n + 1):
         base = art.anchors[f"block_{j}"]
-        if {base, base + 2, base + 5} <= sigma_p:
+        picked = sum(p in pushed for p in range(base, base + 6))
+        assert picked >= 2, "a tropical dominating set places >= 2 picks per block"
+        if picked > 2:
             cover.add(j)
     return frozenset(cover)
 

@@ -72,18 +72,6 @@ class ColouredGraph:
             masks[self.colour[v - 1] - 1] |= 1 << (v - 1)
         return tuple(masks)
 
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """adjacency[v-1] = sorted neighbour list of vertex v."""
-        nbrs: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u - 1].append(v)
-            nbrs[v - 1].append(u)
-        return tuple(tuple(sorted(a)) for a in nbrs)
-
-    def neighbours(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v - 1]
-
     def one_coloured(self) -> ColouredGraph:
         """The same graph with every vertex in colour 1.
 
@@ -166,7 +154,10 @@ def is_rainbow(g: ColouredGraph, s) -> bool:
 
 
 def degree_profile(g: ColouredGraph) -> DegreeProfile:
-    degrees = [len(a) for a in g.adjacency]
+    degrees = [0] * g.n
+    for u, v in g.edges:
+        degrees[u - 1] += 1
+        degrees[v - 1] += 1
     return DegreeProfile(delta=min(degrees), big_delta=max(degrees))
 
 
@@ -193,17 +184,18 @@ def path_order(g: ColouredGraph) -> list[int] | None:
         return [1] if g.m == 0 else None
     if g.m != g.n - 1:
         return None
-    degs = [len(g.adjacency[v - 1]) for v in g.vertices]
-    ends = [v for v in g.vertices if degs[v - 1] == 1]
-    if len(ends) != 2 or any(d > 2 for d in degs):
+    degs = [m.bit_count() for m in g.adj_mask]
+    if degs.count(1) != 2 or max(degs) > 2:
         return None
-    order = [min(ends)]
-    prev = 0
+    # walk from the lower-id end; beside a disjoint cycle it stops short of n
+    cur = degs.index(1)
+    order = [cur + 1]
+    seen = 1 << cur
     while len(order) < g.n:
-        cur = order[-1]
-        nxt = [w for w in g.adjacency[cur - 1] if w != prev]
-        if len(nxt) != 1:
+        nxt = g.adj_mask[cur] & ~seen
+        if not nxt:
             return None
-        prev = cur
-        order.append(nxt[0])
+        cur = nxt.bit_length() - 1
+        seen |= nxt
+        order.append(cur + 1)
     return order

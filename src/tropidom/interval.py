@@ -44,13 +44,6 @@ class IntervalInstance:
         return tuple(self.graph.colour[v - 1] for v in self.order)
 
 
-@dataclass(frozen=True)
-class PrefixTables:
-    a: tuple[int, ...]  # a[i-1] = least position whose interval i reaches back to
-    b: tuple[int, ...]  # b[j] for j in 0..n; n+1 stands for "infinity"
-    P: tuple[tuple[int, ...], ...]  # P[i-1] = admissible predecessors of position i
-
-
 def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
     """Sort by right endpoint and check the representation matches g."""
     if isinstance(intervals, dict):
@@ -61,6 +54,10 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
         raise RepresentationMismatchError(
             f"expected {g.n} intervals, got {len(pairs)}"
         )
+    for v in g.vertices:
+        lv, rv = pairs[v - 1]
+        if lv > rv:
+            raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
     # sweep by left endpoint: only w after u with l_w <= r_u can meet u
     by_left = sorted(g.vertices, key=lambda v: pairs[v - 1][0])
     lefts = [pairs[v - 1][0] for v in by_left]
@@ -137,14 +134,6 @@ def _prefix_arrays(inst: IntervalInstance):
     return a, b, np.concatenate(preds), start
 
 
-def prefix_tables(inst: IntervalInstance) -> PrefixTables:
-    """a, b and the predecessor lists P_i of the DP, as tuples."""
-    a, b, preds, start = _prefix_arrays(inst)
-    flat, start = preds.tolist(), start.tolist()
-    P = tuple(tuple(flat[s:e]) for s, e in zip(start, start[1:]))
-    return PrefixTables(a=tuple(a.tolist()), b=tuple(b.tolist()), P=P)
-
-
 def _fill_table(inst: IntervalInstance, preds, start) -> np.ndarray:
     """f[i, S] for all positions i in 0..n and colour subsets S."""
     n, c = inst.n, inst.graph.c
@@ -211,8 +200,8 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     totals = f[first_end:] + missing
     e, best_S = divmod(int(totals.argmin()), 1 << c)
     best_val = int(totals[e, best_S])
-    if best_val > n:
-        raise RepresentationMismatchError("no prefix dominates the graph")
+    # with l <= r on every interval, row n always holds a reachable total
+    assert best_val <= n, "no prefix dominates the graph"
     positions = _reconstruct(inst, preds, start, f, best_S, first_end + e)
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import mpmath
 import numpy as np
@@ -244,9 +244,6 @@ class BoundsReport:
     def violations(self) -> tuple[BoundEntry, ...]:
         return tuple(e for e in self.entries if e.applicable and not e.satisfied)
 
-    def entry(self, bound_id: str) -> BoundEntry:
-        return next(e for e in self.entries if e.bound_id == bound_id)
-
 
 def _minimal_edge_bound_k(n: int, m: int, c: int) -> int | None:
     for k in range(1, n - c + 2):
@@ -339,14 +336,12 @@ class ConjectureReport:
     graphs_checked: int
     colourings_checked: int
     counterexamples: list[dict]
-    tightness_by_delta: dict[int, float] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
             "graphs_checked": self.graphs_checked,
             "colourings_checked": self.colourings_checked,
             "counterexamples": self.counterexamples,
-            "tightness_by_delta": {str(k): v for k, v in self.tightness_by_delta.items()},
         }
 
 
@@ -357,7 +352,6 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
     graphs = 0
     colourings = 0
     counterexamples = []
-    slack_by_delta: dict[int, float] = {}
     for n, edges in _connected_graphs_upto(max_n):
         graphs += 1
         closed = [1 << i for i in range(n)]
@@ -388,9 +382,6 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
                 ok &= (subs & cmask) != 0
             gt = int(popcnt[ok].min())
             bound = (n - c + 1) * delta / (3 * delta - 1) + c - 1
-            slack = bound - gt
-            if slack < slack_by_delta.get(delta, math.inf):
-                slack_by_delta[delta] = slack
             if gt > bound:
                 counterexamples.append(
                     {"n": n, "edges": edges, "colouring": list(colouring), "gamma_t": gt, "bound": bound}
@@ -399,5 +390,4 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
         graphs_checked=graphs,
         colourings_checked=colourings,
         counterexamples=counterexamples,
-        tightness_by_delta=slack_by_delta,
     )

@@ -14,8 +14,10 @@ from tropidom import (
     gamma,
     gamma_t,
     gen_gnpc,
+    greedy_setcover_tds,
     pad_colours,
     parse_dimacs_cnf,
+    path_five_thirds,
     path_order,
     rainbow_exists,
     sat_to_path,
@@ -24,6 +26,7 @@ from tropidom import (
 from tropidom.errors import (
     BadEpsilonError,
     BadParametersError,
+    EmptyGraphError,
     HasIsolatedVertexError,
     MalformedFormulaError,
     NotSubcubicError,
@@ -236,6 +239,39 @@ class TestVcReduction:
         cover = extract_vc(art, sigma)
         assert sg.is_vertex_cover(cover)
         assert len(cover) <= len(sigma) - 1 - 3 * sg.n
+
+
+    # extract_vc's covers, as digit strings, on ten seeded sources: from the
+    # greedy, path53 and gamma_t witnesses, then two supersets of each
+    PINNED_COVERS = [
+        ["12", "1", "1", "123", "12", "1", "13", "12", "123"],
+        ["23", "12", "12", "23", "235", "124", "123", "125", "123"],
+        ["12", "1", "1", "12", "124", "1", "14", "13", "124"],
+        ["123", "123", "24", "123", "123", "1234", "123", "24", "234"],
+        ["1234", "1234", "125", "1234", "1234", "1234", "1234", "125", "1235"],
+        ["12345", "1345", "146", "12345", "12345", "1345", "1345", "1346", "1346"],
+        ["12", "12", "2", "123", "123", "12", "123", "23", "123"],
+        ["13", "13", "13", "123", "134", "1234", "123", "13", "1234"],
+        ["1234", "1234", "125", "1234", "1234", "1234", "12345", "125", "1245"],
+        ["123", "13", "13", "1235", "1234", "13", "1345", "13", "1235"],
+    ]
+
+    def test_extract_vc_pinned_on_non_optimal_sets(self):
+        rng = np.random.default_rng(113)
+        covers = []
+        while len(covers) < len(self.PINNED_COVERS):
+            n = int(rng.integers(2, 7))
+            cand = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            try:
+                sg = SubcubicGraph(n, tuple(e for e in cand if rng.random() < 0.5))
+            except (EmptyGraphError, NotSubcubicError, HasIsolatedVertexError):
+                continue
+            art = vc_to_path(sg)
+            g = art.path
+            sets = [greedy_setcover_tds(g).witness, path_five_thirds(g).witness, gamma_t(g).witness]
+            sets += [s | set(rng.integers(1, g.n + 1, size=k).tolist()) for s in sets for k in (2, 5)]
+            covers.append(["".join(map(str, sorted(extract_vc(art, s)))) for s in sets])
+        assert covers == self.PINNED_COVERS
 
 
 class TestPadColours:

@@ -127,6 +127,9 @@ class TestPathOrder:
         assert path_order(star) is None
         disconnected = build(4, [(1, 2), (3, 4)], [1] * 4)
         assert path_order(disconnected) is None
+        # m = n - 1 and two ends, so only the walk from vertex 1 finds the cycle
+        path_and_cycle = build(5, [(1, 2), (3, 4), (4, 5), (3, 5)], [1] * 5)
+        assert path_order(path_and_cycle) is None
 
 
 class TestMasks:

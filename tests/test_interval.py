@@ -17,7 +17,6 @@ from tropidom import (
     is_tropical,
     path_intervals,
     path_order,
-    prefix_tables,
     tdn_interval,
     vc_to_path,
 )
@@ -95,9 +94,17 @@ class TestBuild:
             with pytest.raises(RepresentationMismatchError) as exc:
                 build_interval_instance(build(3, edges, [1, 2, 1]), PAIRS)
             assert str(exc.value) == message
-        # an inverted interval meets another only if l_u <= r_v and l_v <= r_u
+        with pytest.raises(RepresentationMismatchError) as exc:
+            build_interval_instance(build(2, [], [1, 1]), [(0, 10), (5, -1)])
+        assert str(exc.value) == "vertex 2: interval [5,-1] has l > r"
+
+    def test_inverted_interval_rejected(self):
+        # accepted unchecked, these intervals gave a DP value of 1 for two
+        # isolated vertices, whose gamma_t is 2
         g = build(2, [], [1, 1])
-        assert build_interval_instance(g, [(0, 10), (5, -1)]).order == (2, 1)
+        assert gamma_t(g).value == 2
+        with pytest.raises(RepresentationMismatchError, match="vertex 2"):
+            build_interval_instance(g, {1: (0, 16), 2: (28, 1)})
 
     def test_order_sorted_by_right_endpoint_then_id(self):
         g = build(3, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
@@ -105,17 +112,24 @@ class TestBuild:
         assert inst.order == (3, 1, 2)
 
 
+def prefix_tables(inst):
+    """a, b and the predecessor lists P_i of the DP, as tuples."""
+    a, b, preds, start = interval._prefix_arrays(inst)
+    flat, start = preds.tolist(), start.tolist()
+    P = tuple(tuple(flat[s:e]) for s, e in zip(start, start[1:]))
+    return tuple(a.tolist()), tuple(b.tolist()), P
+
+
 class TestPrefixTables:
     def test_hand_values(self):
-        t = prefix_tables(spec_instance())
-        assert t.a == (1, 1, 3)
-        assert t.b == (1, 3, 3, 4)  # b_0 = 1; n + 1 = 4 stands for infinity
-        assert t.P == ((0,), (0, 1), (1, 2))
+        a, b, P = prefix_tables(spec_instance())
+        assert a == (1, 1, 3)
+        assert b == (1, 3, 3, 4)  # b_0 = 1; n + 1 = 4 stands for infinity
+        assert P == ((0,), (0, 1), (1, 2))
 
     def test_single_interval(self):
         g = build(1, [], [1])
-        t = prefix_tables(build_interval_instance(g, {1: (0, 1)}))
-        assert t.a == (1,) and t.b == (1, 2) and t.P == ((0,),)
+        assert prefix_tables(build_interval_instance(g, {1: (0, 1)})) == ((1,), (1, 2), ((0,),))
 
     def test_matches_definition_oracle(self):
         # small spans give many ties, nested and equal intervals
@@ -124,8 +138,7 @@ class TestPrefixTables:
             n_max, span = (300, 40) if k % 20 == 0 else (30, int(rng.integers(2, 12)))
             n, edges, colours, pairs = random_interval_instance(rng, n_max=n_max, span=span)
             inst = build_interval_instance(build(n, edges, colours), pairs)
-            t = prefix_tables(inst)
-            assert (t.a, t.b, t.P) == brute_prefix_tables(inst.l, inst.r)
+            assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
 
     def test_matches_definition_oracle_across_row_blocks(self, monkeypatch):
         # 500 intervals on [0, 40] meet most earlier ones: their windows
@@ -142,8 +155,7 @@ class TestPrefixTables:
         r0 = (float("-inf"),) + inst.r
         cells = sum(b[j] >= a[i] and r0[j] < inst.r[i] for i in range(n) for j in range(n + 1))
         assert cells > interval._MASK_CELLS
-        t = prefix_tables(inst)
-        assert (t.a, t.b, t.P) == (a, b, P)
+        assert prefix_tables(inst) == (a, b, P)
         # blocks of a few cells, and windows longer than a block
         rng = np.random.default_rng(75)
         for block in (1, 5, 64):
@@ -151,8 +163,7 @@ class TestPrefixTables:
             for _ in range(20):
                 n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
                 inst = build_interval_instance(build(n, edges, colours), pairs)
-                t = prefix_tables(inst)
-                assert (t.a, t.b, t.P) == brute_prefix_tables(inst.l, inst.r)
+                assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
                 if n <= 16:
                     assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
 
@@ -163,10 +174,10 @@ class TestPrefixTables:
             n, edges, colours, pairs = random_interval_instance(rng, n_max=10)
             g = build(n, edges, colours)
             inst = build_interval_instance(g, pairs)
-            t = prefix_tables(inst)
+            _, b, _ = prefix_tables(inst)
             for j in range(1, n + 1):
                 prefix = {inst.order[k] for k in range(j)}
-                assert (t.b[j] == n + 1) == is_dominating(g, prefix)
+                assert (b[j] == n + 1) == is_dominating(g, prefix)
 
 
 class TestTdn:

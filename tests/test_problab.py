@@ -103,23 +103,27 @@ class TestExperiments:
         assert "runtime" not in str(sorted(rep.to_json_dict()))
 
 
+def entry(rep, bound_id):
+    return next(e for e in rep.entries if e.bound_id == bound_id)
+
+
 class TestBoundsAudit:
     def test_k3_bound_i_tight(self):
         g = build(3, [(1, 2), (1, 3), (2, 3)], [1, 2, 3])
         rep = audit_bounds(g, 3, 1)
-        e = rep.entry("i")
+        e = entry(rep, "i")
         assert e.applicable and e.satisfied and e.tight
         assert not rep.violations
 
     def test_extremal_gamma_plus_makes_ii_tight(self):
         g = extremal_gamma_plus(2, 3)
         rep = audit_bounds(g, gamma_t(g).value, gamma(g).value)
-        assert rep.entry("ii").tight
+        assert entry(rep, "ii").tight
 
     def test_extremal_edge_bound_makes_iii_tight(self):
         g = extremal_edge_bound(8, 4, 2)
         rep = audit_bounds(g, gamma_t(g).value, gamma(g).value)
-        e = rep.entry("iii")
+        e = entry(rep, "iii")
         assert e.applicable and e.tight
 
     def test_no_violations_on_random_corpus(self):

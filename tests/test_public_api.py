@@ -4,7 +4,7 @@ import tropidom
 # renames one edits this list and says why in CHANGES.md.
 PUBLIC_NAMES = [
     "ApproxResult", "BoundsReport", "CnfFormula", "ColouredGraph", "DEFAULT_BUDGET",
-    "DegreeProfile", "ExperimentReport", "Instance", "IntervalInstance", "PrefixTables",
+    "DegreeProfile", "ExperimentReport", "Instance", "IntervalInstance",
     "RandomModel", "ReductionArtifact", "SolveResult", "SubcubicGraph", "approx",
     "audit_bounds", "build", "build_interval_instance", "concentration_window",
     "count_rainbow_ds", "degree_profile", "errors", "exact", "expected_rainbow_count",
@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "gen_gnpc", "graph", "greedy_setcover_tds", "instance_io", "interval", "is_connected",
     "is_dominating", "is_rainbow", "is_tropical", "mds_plus_colours", "pad_colours",
     "parse_dimacs_cnf", "parse_instance", "path_five_thirds", "path_intervals",
-    "path_lower_bound", "path_order", "prefix_tables", "problab", "rainbow_exists",
+    "path_lower_bound", "path_order", "problab", "rainbow_exists",
     "run_concentration_experiment", "run_expectation_experiment", "run_threshold_experiment",
     "sat_to_path", "search_conjecture", "success_fraction", "tdn_interval",
     "threshold_colours", "vc_to_path", "write_instance",
@@ -20,5 +20,5 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 60
+    assert len(PUBLIC_NAMES) == 58
     assert sorted(tropidom.__all__) == PUBLIC_NAMES
