@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import approx, exact, forge, instance_io, interval, problab
 from .errors import BudgetExceededError, NoRepresentationError, TropidomError
-from .graph import degree_profile, is_dominating, is_tropical
+from .graph import degree_profile, is_dominating, is_tropical, path_order
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -38,7 +38,7 @@ def _digest(g) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "timing", False):
+    if args.timing:
         report["wall_ms"] = round((time.perf_counter() - args._t0) * 1e3, 3)
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
@@ -116,8 +116,6 @@ def _cmd_gen(args) -> int:
         base = _load_instance(args.input)
         g = forge.pad_colours(base.graph, args.epsilon)
     if args.path_intervals:
-        from .graph import path_order
-
         order = path_order(g)
         if order is None:
             raise TropidomError("--path-intervals requires the output to be a path")

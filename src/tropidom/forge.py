@@ -142,21 +142,34 @@ class ReductionArtifact:
     meta: dict = field(default_factory=dict)
 
 
+# gen_gnpc draws its pair coins this many at a time. numpy's generator gives
+# the same doubles for one call of size a + b as for calls of size a then b,
+# so the block size bounds memory and leaves the graph unchanged.
+_BLOCK_PAIRS = 1 << 16
+
+
 def gen_gnpc(n: int, p: float, c: int, seed) -> ColouredGraph:
     """G(n, p) with iid uniform vertex colours from 1..c.
 
-    If some colour class comes out empty, only the colours are resampled; the
-    number of resamples is recorded on the returned graph via gen_gnpc.last_resamples.
+    One rng.random() coin per pair (u, v), u < v, in lexicographic order, as
+    a per-pair loop would draw them. If some colour class comes out empty,
+    only the colours are resampled; the number of resamples of the latest
+    call is kept in gen_gnpc.last_resamples.
     """
     if not (0 < p < 1) or not (1 <= c <= n):
         raise BadParametersError(f"need 0 < p < 1 and 1 <= c <= n, got p={p} c={c} n={n}")
     rng = np.random.default_rng(seed)
-    # one draw per pair (u, v), u < v, in the same order as a per-pair loop,
-    # taken one row u at a time so that no n^2/2 array is held
-    edges = []
-    for u in range(1, n):
-        hit = np.flatnonzero(rng.random(n - u) < p) + u + 1
-        edges.extend((u, v) for v in hit.tolist())
+    # coin k is pair (u, v) with starts[u - 1] <= k < starts[u], v = u + 1 + k - starts[u - 1];
+    # only the indices of the hits are kept, so memory grows with m, not n^2
+    starts = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1))))
+    total = int(starts[-1])
+    blocks = [
+        np.flatnonzero(rng.random(min(_BLOCK_PAIRS, total - k)) < p) + k
+        for k in range(0, total, _BLOCK_PAIRS)
+    ]
+    hits = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
+    u = np.searchsorted(starts, hits, side="right")
+    edges = np.stack((u, hits - starts[u - 1] + u + 1), axis=1)
     resamples = 0
     while True:
         colours = (rng.integers(0, c, size=n) + 1).tolist()

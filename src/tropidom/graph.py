@@ -11,6 +11,8 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable
 
+import numpy as np
+
 from .errors import (
     ColourGapError,
     DuplicateEdgeError,
@@ -92,23 +94,40 @@ def _iter_bits(mask: int):
 
 
 def build(n: int, edges, colours) -> ColouredGraph:
-    """Validate and assemble a coloured graph; c = max colour id."""
+    """Validate and assemble a coloured graph; c = max colour id.
+
+    edges is a list of pairs or an (m, 2) integer array. Invalid edges raise
+    for the first offending edge in input order: an endpoint outside 1..n,
+    then a self-loop, then a repeat of an earlier edge in either orientation.
+    The stored edges are (lo, hi) pairs of ints in lexicographic order.
+    """
     if n < 1:
         raise OutOfRangeError("n must be at least 1")
     if len(colours) != n:
         raise OutOfRangeError(f"expected {n} colours, got {len(colours)}")
-    norm: list[tuple[int, int]] = []
-    seen: set[tuple[int, int]] = set()
-    for u, v in edges:
+    try:
+        e = np.asarray(edges, dtype=np.int64)
+    except OverflowError:
+        # an endpoint beyond int64 is out of range, and stays so clipped to n + 1
+        e = np.clip(np.asarray(edges, dtype=object), 0, n + 1).astype(np.int64)
+    if e.size == 0:
+        e = e.reshape(0, 2)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be pairs, got an array of shape {e.shape}")
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    key = lo * (n + 1) + hi  # lexicographic rank of (lo, hi) for in-range edges
+    order = key.argsort(kind="stable")
+    sorted_key = key[order]
+    bad = (lo < 1) | (hi > n) | (lo == hi)
+    bad[order[1:][sorted_key[1:] == sorted_key[:-1]]] = True  # later copies
+    if bad.any():
+        u, v = edges[int(bad.argmax())]
         if not (1 <= u <= n and 1 <= v <= n):
             raise OutOfRangeError(f"edge ({u},{v}) has endpoint outside 1..{n}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
-        e = (u, v) if u < v else (v, u)
-        if e in seen:
-            raise DuplicateEdgeError(f"duplicate edge ({e[0]},{e[1]})")
-        seen.add(e)
-        norm.append(e)
+        raise DuplicateEdgeError(f"duplicate edge ({min(u, v)},{max(u, v)})")
     c = max(colours)
     used = set(colours)
     for k in colours:
@@ -117,7 +136,8 @@ def build(n: int, edges, colours) -> ColouredGraph:
     for k in range(1, c + 1):
         if k not in used:
             raise ColourGapError(f"colour {k} unused (colours must cover 1..{c})")
-    return ColouredGraph(n=n, edges=tuple(sorted(norm)), colour=tuple(colours), c=c)
+    norm = tuple(zip(lo[order].tolist(), hi[order].tolist()))
+    return ColouredGraph(n=n, edges=norm, colour=tuple(colours), c=c)
 
 
 def is_dominating(g: ColouredGraph, s: Iterable[int]) -> bool:

@@ -158,3 +158,24 @@ def gnpc_reference(n, p, c, seed):
         colours = (rng.integers(0, c, size=n) + 1).tolist()
         if len(set(colours)) == c:
             return edges, colours
+
+
+def reference_edge_check(n, edges):
+    """The error a valid-graph builder owes an edge list, by one plain loop.
+
+    Edges are checked in input order: both endpoints in 1..n, then no
+    self-loop, then no earlier copy in either orientation. Returns
+    (error class name, message) for the first offending edge, or
+    ("ok", sorted normalised edges) when there is none.
+    """
+    seen = set()
+    for u, v in edges:
+        if u < 1 or u > n or v < 1 or v > n:
+            return "OutOfRangeError", f"edge ({u},{v}) has endpoint outside 1..{n}"
+        if u == v:
+            return "SelfLoopError", f"self-loop at vertex {u}"
+        pair = (min(u, v), max(u, v))
+        if pair in seen:
+            return "DuplicateEdgeError", f"duplicate edge ({pair[0]},{pair[1]})"
+        seen.add(pair)
+    return "ok", sorted(seen)

@@ -11,6 +11,7 @@ from tropidom import (
     extract_vc,
     extremal_edge_bound,
     extremal_gamma_plus,
+    forge,
     gamma,
     gamma_t,
     gen_gnpc,
@@ -114,13 +115,23 @@ class TestGnpc:
             g = gen_gnpc(9, 0.4, 1, seed=seed)
             assert gamma(g).value == gamma_t(g).value
 
-    def test_matches_per_pair_reference(self):
+    def test_matches_per_pair_reference(self, monkeypatch):
         cases = [(1, 0.5, 1, 0), (2, 0.9, 2, 3), (12, 0.3, 3, 1), (40, 0.5, 5, [7, 2]),
                  (75, 0.05, 4, 11), (150, 0.7, 8, 5), (230, 0.02, 2, [1, 0, 230])]
-        for n, p, c, seed in cases:
+        # 79,800 pairs: two blocks of coins, the second one short
+        big = (400, 0.03, 3, 9)
+        assert big[0] * (big[0] - 1) // 2 > forge._BLOCK_PAIRS
+        for n, p, c, seed in cases + [big]:
             edges, colours = gnpc_reference(n, p, c, seed)
             g = gen_gnpc(n, p, c, seed=seed)
             assert g.edges == tuple(edges) and g.colour == tuple(colours)
+        # blocks that end inside rows, and rows longer than a block
+        for block in (1, 7, 64):
+            monkeypatch.setattr(forge, "_BLOCK_PAIRS", block)
+            for n, p, c, seed in cases[:5]:
+                edges, colours = gnpc_reference(n, p, c, seed)
+                g = gen_gnpc(n, p, c, seed=seed)
+                assert g.edges == tuple(edges) and g.colour == tuple(colours)
 
     def test_parameter_validation(self):
         with pytest.raises(BadParametersError):

@@ -3,11 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_is_dominating, closed_neighbourhoods, random_coloured_graph
-from tropidom import build, degree_profile, is_connected, is_dominating, is_rainbow, is_tropical, path_order
+from _oracles import brute_is_dominating, closed_neighbourhoods, random_coloured_graph, reference_edge_check
+from tropidom import (
+    build,
+    degree_profile,
+    gen_gnpc,
+    is_connected,
+    is_dominating,
+    is_rainbow,
+    is_tropical,
+    parse_instance,
+    path_order,
+    write_instance,
+)
 from tropidom.errors import (
     ColourGapError,
     DuplicateEdgeError,
+    GraphBuildError,
     OutOfRangeError,
     SelfLoopError,
 )
@@ -50,6 +62,59 @@ class TestBuild:
     def test_colour_classes(self):
         g = p3()
         assert g.colour_mask == (0b101, 0b010)
+
+    def test_endpoint_beyond_int64_is_out_of_range(self):
+        with pytest.raises(OutOfRangeError, match=f"edge \\(1,{2**70}\\) has endpoint outside 1..3"):
+            build(3, [(1, 2), (1, 2**70)], [1, 1, 1])
+        # the first offending edge in input order still decides the error
+        with pytest.raises(SelfLoopError, match="self-loop at vertex 2"):
+            build(3, [(1, 2), (2, 2), (-(2**70), 1)], [1, 1, 1])
+        with pytest.raises(DuplicateEdgeError, match="duplicate edge \\(1,2\\)"):
+            build(3, [(1, 2), (2, 1), (3, 2**70)], [1, 1, 1])
+
+    def test_non_pair_items_rejected(self):
+        with pytest.raises(ValueError):
+            build(3, [(1, 2, 3)], [1, 1, 1])
+        with pytest.raises(ValueError):
+            build(3, [(1, 2), (1, 2, 3)], [1, 1, 1])
+        with pytest.raises(ValueError):
+            build(3, [(1,)], [1, 1, 1])
+
+    def test_edges_stored_sorted_as_ints(self):
+        rng = np.random.default_rng(8)
+        graphs = [gen_gnpc(n, 0.3, min(n, 2), seed=s) for s, n in enumerate((1, 2, 9, 60))]
+        for _ in range(20):
+            n, edges, colours = random_coloured_graph(rng, n_max=10)
+            edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+            rng.shuffle(edges)
+            graphs.append(build(n, edges, colours))
+        graphs.append(parse_instance("p tdgs 4 3 1\nv 1 1\nv 2 1\nv 3 1\nv 4 1\ne 3 4\ne 1 4\ne 1 2\n").graph)
+        graphs += [parse_instance(write_instance(g)).graph for g in graphs]
+        for g in graphs:
+            assert list(g.edges) == sorted(g.edges)
+            assert all(type(x) is int and u < v for u, v in g.edges for x in (u, v))
+
+
+@st.composite
+def edge_lists(draw):
+    """n and a list of pairs: in range only, or with endpoints one step outside."""
+    n = draw(st.integers(1, 7))
+    end = st.integers(1, n) if draw(st.booleans()) else st.integers(-1, n + 1)
+    return n, draw(st.lists(st.tuples(end, end), max_size=12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_lists())
+def test_edge_errors_match_reference(case):
+    n, edges = case
+    kind, expect = reference_edge_check(n, edges)
+    for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
+        if kind == "ok":
+            assert list(build(n, given_edges, [1] * n).edges) == expect
+        else:
+            with pytest.raises(GraphBuildError) as info:
+                build(n, given_edges, [1] * n)
+            assert (type(info.value).__name__, str(info.value)) == (kind, expect)
 
 
 class TestPredicates:
