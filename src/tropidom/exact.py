@@ -1,14 +1,14 @@
 """Exact solvers: minimum dominating set, minimum tropical dominating set,
 rainbow dominating set existence and counting.
 
-``gamma`` and ``gamma_t`` are iterative deepening on the solution size,
-branching on the lowest-indexed undominated vertex over its closed
-neighbourhood in increasing vertex id. The rainbow search takes one vertex per
-colour and branches on the undominated vertex with the fewest candidates, in
-increasing vertex id; one depth-first search serves both existence and
-counting. Every branching order is fixed, which makes witnesses deterministic.
-A node budget converts runaway instances into BudgetExceededError instead of
-hangs.
+One depth-first search over bitmasks serves all four. It looks for a tropical
+dominating set of at most k vertices: ``gamma_t`` deepens k from a certified
+lower bound to one below the greedy size, ``gamma`` is ``gamma_t`` of the
+one-coloured copy, and ``rainbow_exists`` and ``count_rainbow_ds`` run it at
+k = c, the latter counting the sets instead of stopping at the first. It
+branches on the undominated vertex with the fewest candidates, in increasing
+vertex id, so witnesses are deterministic. A node budget converts runaway
+instances into BudgetExceededError instead of hangs.
 """
 
 from __future__ import annotations
@@ -89,56 +89,100 @@ def _lower_bound(g: ColouredGraph) -> int:
     return max(g.c, -(-g.n // max_cover))
 
 
-def _search(g: ColouredGraph, k: int, counter: _Counter):
-    """Depth-first search for a tropical dominating set of size <= k.
+def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
+    """Search the tropical dominating sets of at most k vertices.
 
-    Returns the witness as a vertex list or None. Completeness: any target set
-    must hit the closed neighbourhood of the lowest undominated vertex, and
-    once domination is achieved the missing colours are filled greedily.
+    Returns the first set found as a vertex list, or None; with ``count`` set
+    (and k = c) returns how many rainbow dominating sets there are instead.
+
+    Singleton colour classes are committed up front. A node prunes when its
+    remaining picks times max|N[v]| fall short of the undominated vertices. A
+    node is tight when its remaining picks equal its missing colours: it may
+    take only vertices of unused colours, and prunes unless the unused colour
+    classes can still cover every undominated vertex. With one pick left the
+    node closes at once on the vertices that dominate every undominated one.
+    Otherwise it branches on the first undominated vertex with the fewest
+    candidates, in increasing id, and bars each tried vertex from its later
+    siblings, so every set is reached at most once and the count is exact.
     """
-    closed = g.closed_mask
     full = g.full_mask
-    all_colours = (1 << g.c) - 1
+    closed = g.closed_mask
+    colour = g.colour
+    colour_mask = g.colour_mask
     max_cover = max(m.bit_count() for m in closed)
+    class_cover = [0] * g.c
+    for c, m in enumerate(colour_mask):
+        for i in _iter_bits(m):
+            class_cover[c] |= closed[i]
+    fail = 0 if count else None
 
-    def dfs(covered: int, colours: int, chosen: list[int]):
+    # allowed: vertices not barred, narrowed to fresh at tight nodes;
+    # fresh: allowed vertices of unused colours
+    def dfs(
+        unused: int, covered: int, allowed: int, fresh: int, chosen: list[int], remaining: int
+    ):
         counter.tick()
-        remaining = k - len(chosen)
-        missing = g.c - colours.bit_count()
         if covered == full:
-            if missing <= remaining:
+            if not count:
                 return complete_colours(g, chosen)
-            return None
-        if remaining == 0:
-            return None
+            ways = 1
+            for c in _iter_bits(unused):
+                ways *= (colour_mask[c] & fresh).bit_count()
+            return ways
         undominated = full & ~covered
-        if remaining * max_cover < undominated.bit_count() or remaining < missing:
-            return None
+        if remaining * max_cover < undominated.bit_count():
+            return fail
+        if remaining == unused.bit_count():
+            allowed = fresh
+            if remaining > 1:  # with one pick left the closure below is exact
+                reach = covered
+                for c in _iter_bits(unused):
+                    reach |= class_cover[c]
+                if reach != full:
+                    return fail
         if remaining == 1:
-            cand = _dominator_intersection(g, undominated)
-            if missing == 1:
-                cand &= g.colour_mask[(all_colours & ~colours).bit_length() - 1]
-            if cand:
-                v = (cand & -cand).bit_length()
-                return complete_colours(g, chosen + [v])
-            return None
-        low = undominated & -undominated
-        for i in _iter_bits(closed[low.bit_length() - 1]):
-            chosen.append(i + 1)
-            res = dfs(covered | closed[i], colours | (1 << (g.colour[i] - 1)), chosen)
-            chosen.pop()
-            if res is not None:
+            cand = allowed & _dominator_intersection(g, undominated)
+            if count:
+                return cand.bit_count()
+            return chosen + [(cand & -cand).bit_length()] if cand else None
+        best, best_size = 0, g.n + 1
+        for i in _iter_bits(undominated):
+            cand = closed[i] & allowed
+            size = cand.bit_count()
+            if size < best_size:
+                best, best_size = cand, size
+                if size <= 1:
+                    break
+        total = fail
+        for u in _iter_bits(best):
+            c = colour[u] - 1
+            res = dfs(
+                unused & ~(1 << c), covered | closed[u], allowed, fresh & ~colour_mask[c],
+                chosen + [u + 1], remaining - 1,
+            )
+            if count:
+                total += res
+            elif res is not None:
                 return res
-        return None
+            allowed &= ~(1 << u)
+            fresh &= ~(1 << u)
+        return total
 
-    return dfs(0, 0, [])
+    unused, covered, fresh, chosen = (1 << g.c) - 1, 0, full, []
+    for c, m in enumerate(colour_mask):
+        if m & (m - 1) == 0:
+            chosen.append(m.bit_length())
+            unused &= ~(1 << c)
+            covered |= closed[m.bit_length() - 1]
+            fresh &= ~m
+    return dfs(unused, covered, full, fresh, chosen, k - len(chosen))
 
 
 def _solve(g: ColouredGraph, budget: int) -> SolveResult:
     counter = _Counter(budget)
     best = sorted(complete_colours(g, greedy_dominating(g)))
     for k in range(_lower_bound(g), len(best)):
-        found = _search(g, k, counter)
+        found = _dfs(g, k, counter, count=False)
         if found is not None:
             best = found
             break
@@ -155,84 +199,6 @@ def gamma_t(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
     return _solve(g, budget)
 
 
-def _rainbow_dfs(g: ColouredGraph, counter: _Counter, first: bool):
-    """Search the sets that take one vertex per colour and dominate g.
-
-    With ``first`` set, returns the first such set found as a vertex list, or
-    None. Otherwise returns how many there are.
-
-    Singleton colour classes are committed up front. A node then prunes
-    unless the unused colour classes can still cover every undominated
-    vertex, closes the last unused colour at once by intersecting the
-    dominators of the undominated vertices, and otherwise branches on the
-    first undominated vertex with the fewest candidates (allowed vertices of
-    unused colours in its closed neighbourhood), in increasing id. After each
-    branch its vertex is disallowed for the later siblings, so every rainbow
-    set is reached exactly once and the count is exact.
-    """
-    full = g.full_mask
-    closed = g.closed_mask
-    colour_mask = g.colour_mask
-    all_colours = (1 << g.c) - 1
-    class_cover = [0] * g.c
-    for k, m in enumerate(colour_mask):
-        for i in _iter_bits(m):
-            class_cover[k] |= closed[i]
-    fail = None if first else 0
-
-    # avail: allowed vertices of unused colours
-    def dfs(used: int, covered: int, avail: int, chosen: list[int]):
-        counter.tick()
-        unused = all_colours & ~used
-        if covered == full:
-            if first:
-                return complete_colours(g, chosen)
-            ways = 1
-            for k in _iter_bits(unused):
-                ways *= (colour_mask[k] & avail).bit_count()
-            return ways
-        reach = covered
-        for k in _iter_bits(unused):
-            reach |= class_cover[k]
-        if reach != full:
-            return fail
-        undominated = full & ~covered
-        if unused & (unused - 1) == 0:
-            cand = avail & _dominator_intersection(g, undominated)
-            if first:
-                return chosen + [(cand & -cand).bit_length()] if cand else None
-            return cand.bit_count()
-        best, best_size = 0, g.n + 1
-        for i in _iter_bits(undominated):
-            cand = closed[i] & avail
-            size = cand.bit_count()
-            if size < best_size:
-                best, best_size = cand, size
-                if size <= 1:
-                    break
-        total = fail
-        for u in _iter_bits(best):
-            k = g.colour[u] - 1
-            res = dfs(
-                used | 1 << k, covered | closed[u], avail & ~colour_mask[k], chosen + [u + 1]
-            )
-            if not first:
-                total += res
-            elif res is not None:
-                return res
-            avail &= ~(1 << u)
-        return total
-
-    used, covered, avail, chosen = 0, 0, full, []
-    for k, m in enumerate(colour_mask):
-        if m & (m - 1) == 0:
-            chosen.append(m.bit_length())
-            used |= 1 << k
-            covered |= closed[m.bit_length() - 1]
-            avail &= ~m
-    return dfs(used, covered, avail, chosen)
-
-
 def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> RainbowResult:
     """Decide whether a rainbow dominating set exists.
 
@@ -240,7 +206,7 @@ def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> RainbowRes
     search nodes.
     """
     counter = _Counter(budget)
-    witness = _rainbow_dfs(g, counter, first=True)
+    witness = _dfs(g, g.c, counter, count=False)
     if witness is None:
         return RainbowResult(False, None, counter.nodes)
     return RainbowResult(True, frozenset(witness), counter.nodes)
@@ -248,4 +214,4 @@ def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> RainbowRes
 
 def count_rainbow_ds(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of rainbow dominating sets (the realization of X_c)."""
-    return _rainbow_dfs(g, _Counter(budget), first=False)
+    return _dfs(g, g.c, _Counter(budget), count=True)

@@ -53,14 +53,6 @@ class CnfFormula:
         """The i-th literal (1-indexed) in reading order."""
         return self.clauses[(i - 1) // 3][(i - 1) % 3]
 
-    def satisfiable(self) -> bool:
-        """Truth-table enumeration; intended for desk-scale formulas."""
-        for bits in range(1 << self.num_vars):
-            assign = [(bits >> (v - 1)) & 1 == 1 for v in range(1, self.num_vars + 1)]
-            if all(any(assign[v - 1] == pol for v, pol in cl) for cl in self.clauses):
-                return True
-        return False
-
 
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """DIMACS-CNF with exactly 3 literals per clause."""

@@ -58,15 +58,14 @@ def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
         lv, rv = pairs[v - 1]
         if lv > rv:
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
-    # sweep by left endpoint: only w after u with l_w <= r_u can meet u
+    # sweep by left endpoint: w after u has l_u <= l_w <= r_w, so it meets u
+    # iff l_w <= r_u
     by_left = sorted(g.vertices, key=lambda v: pairs[v - 1][0])
     lefts = [pairs[v - 1][0] for v in by_left]
     meets = set()
     for k, u in enumerate(by_left):
-        lu, ru = pairs[u - 1]
-        for w in by_left[k + 1 : bisect_right(lefts, ru)]:
-            if lu <= pairs[w - 1][1]:
-                meets.add((u, w) if u < w else (w, u))
+        for w in by_left[k + 1 : bisect_right(lefts, pairs[u - 1][1])]:
+            meets.add((u, w) if u < w else (w, u))
     edge_set = set(g.edges)
     if meets != edge_set:
         u, v = min(meets ^ edge_set)  # the first differing pair in (u, v) order

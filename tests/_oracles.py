@@ -73,6 +73,17 @@ def brute_rainbow_sets(n, edges, colours):
     return out
 
 
+def brute_satisfiable(formula):
+    """Truth-table enumeration over the formula's num_vars and clauses.
+
+    clauses are tuples of (variable, polarity) literals, variables 1-indexed.
+    """
+    for assign in itertools.product((False, True), repeat=formula.num_vars):
+        if all(any(assign[v - 1] == pol for v, pol in cl) for cl in formula.clauses):
+            return True
+    return False
+
+
 def random_coloured_graph(rng, n_max=12, c_max=4, p_choices=(0.2, 0.5, 0.8)):
     """Seeded random instance as raw (n, edges, colours) triples."""
     n = int(rng.integers(1, n_max + 1))

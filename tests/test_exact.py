@@ -197,6 +197,8 @@ class TestBudget:
         g = cycle(12, [((i % 3) + 1) for i in range(12)])
         with pytest.raises(BudgetExceededError):
             gamma_t(g, budget=2)
+        # the cover bound refutes the 3-coloured C12 at the root; C9 takes 7 nodes
+        g = cycle(9, [((i % 3) + 1) for i in range(9)])
         with pytest.raises(BudgetExceededError):
             rainbow_exists(g, budget=1)
 
@@ -223,36 +225,36 @@ def test_gamma_t_witness_always_valid(seed):
 # explored). The fixed branching order makes witnesses and node counts part
 # of the solvers' behaviour, so a change to either shows up here.
 PINNED = [
-    (16, 0.21, 5, 0, (5, [2, 5, 6, 9, 16], 124), (5, [5, 7, 8, 9, 16], 138)),
-    (18, 0.39, 2, 1, (3, [1, 2, 7], 8), (3, [4, 7, 11], 20)),
-    (29, 0.19, 6, 2, (5, [3, 5, 10, 21, 26], 301), (6, [2, 10, 13, 15, 21, 26], 1543)),
-    (28, 0.2, 1, 3, (6, [1, 19, 20, 21, 26, 27], 2161), (6, [1, 19, 20, 21, 26, 27], 2161)),
-    (29, 0.2, 3, 4, (7, [7, 12, 13, 20, 24, 28, 29], 2689), (7, [7, 12, 13, 20, 24, 28, 29], 2689)),
-    (20, 0.34, 4, 5, (3, [1, 7, 15], 7), (4, [2, 9, 10, 15], 144)),
-    (30, 0.32, 1, 6, (4, [6, 16, 21, 23], 110), (4, [6, 16, 21, 23], 110)),
-    (25, 0.29, 1, 7, (4, [15, 17, 22, 25], 546), (4, [15, 17, 22, 25], 546)),
-    (13, 0.39, 6, 8, (2, [1, 13], 0), (6, [1, 2, 3, 5, 7, 9], 5)),
-    (21, 0.25, 4, 9, (5, [1, 4, 6, 11, 18], 192), (6, [1, 4, 6, 8, 11, 18], 986)),
-    (14, 0.28, 2, 10, (4, [1, 3, 4, 8], 21), (4, [1, 3, 4, 8], 21)),
-    (27, 0.41, 2, 11, (3, [3, 5, 9], 12), (3, [3, 5, 9], 12)),
-    (27, 0.23, 2, 12, (4, [4, 5, 6, 8], 65), (4, [4, 5, 6, 8], 65)),
-    (27, 0.23, 5, 13, (6, [1, 3, 4, 9, 23, 26], 1061), (6, [1, 3, 4, 19, 23, 26], 540)),
-    (13, 0.17, 2, 14, (6, [1, 2, 3, 5, 8, 9], 55), (6, [1, 2, 3, 5, 8, 9], 55)),
-    (26, 0.23, 3, 15, (6, [1, 4, 13, 19, 23, 25], 902), (6, [1, 4, 13, 19, 23, 25], 902)),
-    (19, 0.24, 6, 16, (4, [1, 6, 10, 15], 51), (6, [1, 3, 6, 15, 16, 19], 100)),
-    (19, 0.3, 5, 17, (4, [2, 6, 11, 14], 161), (5, [1, 5, 14, 16, 18], 29)),
-    (21, 0.44, 3, 18, (3, [3, 4, 9], 8), (3, [3, 4, 9], 0)),
-    (16, 0.17, 6, 19, (5, [2, 3, 4, 5, 11], 45), (6, [1, 3, 4, 8, 12, 16], 15)),
-    (18, 0.21, 2, 20, (5, [1, 5, 6, 14, 16], 223), (5, [1, 5, 6, 14, 16], 223)),
-    (15, 0.32, 6, 21, (3, [5, 12, 13], 6), (6, [1, 2, 3, 7, 8, 12], 16)),
-    (29, 0.4, 3, 22, (3, [1, 10, 26], 20), (3, [10, 23, 24], 50)),
-    (13, 0.35, 3, 23, (3, [1, 2, 6], 10), (4, [1, 2, 4, 6], 36)),
-    (14, 0.16, 2, 24, (5, [1, 2, 4, 8, 11], 15), (5, [1, 2, 4, 8, 11], 15)),
-    (15, 0.25, 5, 25, (3, [3, 9, 12], 9), (5, [1, 3, 4, 9, 12], 0)),
-    (25, 0.23, 3, 26, (4, [4, 5, 19, 21], 33), (4, [4, 5, 19, 21], 27)),
-    (24, 0.32, 2, 27, (4, [1, 12, 16, 18], 100), (4, [1, 12, 16, 18], 100)),
-    (29, 0.28, 3, 28, (5, [8, 9, 13, 17, 24], 513), (5, [8, 9, 13, 17, 24], 513)),
-    (23, 0.3, 2, 29, (4, [1, 14, 16, 20], 141), (4, [1, 14, 16, 20], 141)),
+    (16, 0.21, 5, 0, (5, [2, 5, 6, 9, 16], 31), (5, [5, 7, 8, 9, 16], 9)),
+    (18, 0.39, 2, 1, (3, [1, 2, 7], 5), (3, [4, 7, 11], 16)),
+    (29, 0.19, 6, 2, (5, [3, 5, 10, 21, 26], 41), (6, [2, 10, 13, 15, 21, 26], 14)),
+    (28, 0.2, 1, 3, (6, [1, 19, 20, 21, 26, 27], 488), (6, [1, 19, 20, 21, 26, 27], 488)),
+    (29, 0.2, 3, 4, (7, [7, 12, 13, 20, 24, 28, 29], 320), (7, [7, 12, 13, 20, 24, 28, 29], 320)),
+    (20, 0.34, 4, 5, (3, [1, 7, 15], 5), (4, [2, 10, 12, 20], 3)),
+    (30, 0.32, 1, 6, (4, [6, 16, 21, 23], 43), (4, [6, 16, 21, 23], 43)),
+    (25, 0.29, 1, 7, (4, [12, 15, 20, 23], 59), (4, [12, 15, 20, 23], 59)),
+    (13, 0.39, 6, 8, (2, [1, 13], 0), (6, [1, 2, 3, 5, 7, 9], 3)),
+    (21, 0.25, 4, 9, (5, [1, 4, 6, 11, 18], 13), (6, [1, 4, 6, 8, 11, 18], 32)),
+    (14, 0.28, 2, 10, (4, [1, 3, 4, 8], 11), (4, [1, 3, 4, 8], 11)),
+    (27, 0.41, 2, 11, (3, [3, 5, 9], 9), (3, [3, 5, 9], 9)),
+    (27, 0.23, 2, 12, (4, [4, 5, 6, 8], 20), (4, [4, 5, 6, 8], 20)),
+    (27, 0.23, 5, 13, (6, [1, 3, 4, 9, 23, 26], 156), (6, [4, 14, 15, 17, 18, 22], 34)),
+    (13, 0.17, 2, 14, (6, [1, 2, 3, 5, 8, 9], 28), (6, [1, 2, 3, 5, 8, 9], 28)),
+    (26, 0.23, 3, 15, (6, [2, 3, 5, 6, 13, 24], 140), (6, [2, 5, 6, 13, 18, 24], 135)),
+    (19, 0.24, 6, 16, (4, [1, 6, 10, 15], 17), (6, [6, 7, 13, 15, 17, 19], 7)),
+    (19, 0.3, 5, 17, (4, [2, 6, 11, 14], 23), (5, [3, 5, 6, 11, 17], 5)),
+    (21, 0.44, 3, 18, (3, [3, 4, 9], 6), (3, [3, 4, 9], 0)),
+    (16, 0.17, 6, 19, (5, [2, 3, 4, 5, 11], 37), (6, [1, 3, 4, 8, 12, 16], 6)),
+    (18, 0.21, 2, 20, (5, [1, 5, 6, 14, 16], 12), (5, [1, 5, 6, 14, 16], 12)),
+    (15, 0.32, 6, 21, (3, [5, 12, 13], 4), (6, [1, 2, 3, 7, 8, 12], 5)),
+    (29, 0.4, 3, 22, (3, [1, 10, 26], 14), (3, [10, 23, 24], 36)),
+    (13, 0.35, 3, 23, (3, [1, 2, 6], 7), (4, [1, 2, 4, 6], 13)),
+    (14, 0.16, 2, 24, (5, [1, 2, 4, 8, 11], 7), (5, [1, 2, 4, 8, 11], 7)),
+    (15, 0.25, 5, 25, (3, [3, 9, 12], 3), (5, [1, 3, 4, 9, 12], 0)),
+    (25, 0.23, 3, 26, (4, [4, 5, 19, 21], 12), (4, [4, 5, 19, 21], 6)),
+    (24, 0.32, 2, 27, (4, [1, 12, 16, 18], 20), (4, [1, 12, 16, 18], 20)),
+    (29, 0.28, 3, 28, (5, [8, 9, 13, 17, 24], 106), (5, [8, 9, 13, 17, 24], 100)),
+    (23, 0.3, 2, 29, (4, [2, 7, 9, 16], 37), (4, [2, 7, 9, 16], 37)),
 ]
 
 
@@ -262,3 +264,14 @@ def test_pinned_gamma_and_gamma_t(n, p, c, seed, want_gamma, want_gamma_t):
     for solve, want in ((gamma, want_gamma), (gamma_t, want_gamma_t)):
         res = solve(g)
         assert (res.value, sorted(res.witness), res.explored) == want
+
+
+@pytest.mark.parametrize("n, p, c, seed", [PINNED[i][:4] for i in (2, 13, 18, 22, 28)])
+def test_budget_counts_the_reported_nodes(n, p, c, seed):
+    g = gen_gnpc(n, p, c, seed=seed)
+    for solve in (gamma, gamma_t, rainbow_exists):
+        res = solve(g)
+        assert solve(g, budget=res.explored) == res
+        if res.explored >= 1:
+            with pytest.raises(BudgetExceededError):
+                solve(g, budget=res.explored - 1)
