@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from . import approx, exact, forge, instance_io, interval, problab
-from .errors import BudgetExceededError, NoRepresentationError, TropidomError
-from .graph import degree_profile, is_dominating, is_tropical, path_order
+from .errors import BudgetExceededError, TropidomError
+from .graph import degree_profile, is_dominating, is_tropical
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -25,11 +25,32 @@ EXIT_BUDGET = 2
 EXIT_INTERNAL = 3
 
 
-def _budget(text: str) -> int:
+def _at_least_one(text: str) -> int:
     value = int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"node budget must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
+
+
+# the options each generator or experiment reads beyond its parser's required ones
+_NEEDS = {
+    "gnpc": ("n", "p", "c", "seed"),
+    "extremal-gamma": ("gamma", "c"),
+    "extremal-edges": ("n", "k", "c"),
+    "sat": ("cnf",),
+    "vc": ("edges",),
+    "pad": ("input", "epsilon"),
+    "expectation": ("c",),
+}
+
+
+def _require(args, name: str) -> None:
+    """Raise naming the first option that generator or experiment name needs
+    and args lacks."""
+    for opt in _NEEDS.get(name, ()):
+        if getattr(args, opt) is None:
+            flag = f"-{opt}" if len(opt) == 1 else f"--{opt}"
+            raise TropidomError(f"{args.command} {name} requires {flag}")
 
 
 def _digest(g) -> dict:
@@ -67,8 +88,6 @@ def _cmd_solve(args) -> int:
     else:
         if args.algo == "exact":
             res = exact.gamma_t(g, budget=args.budget)
-        elif inst.intervals is None:
-            raise NoRepresentationError("instance has no interval representation ('i' lines)")
         else:
             res = interval.tdn_interval(interval.build_interval_instance(g, inst.intervals))
         witness = res.witness
@@ -94,11 +113,9 @@ def _read_edge_list(path: str):
 
 
 def _cmd_gen(args) -> int:
+    _require(args, args.generator)
     legend = None
-    intervals = None
     if args.generator == "gnpc":
-        if args.seed is None:
-            raise TropidomError("gen gnpc requires --seed")
         g = forge.gen_gnpc(args.n, args.p, args.c, seed=args.seed)
     elif args.generator == "extremal-gamma":
         g = forge.extremal_gamma_plus(args.gamma, args.c)
@@ -115,13 +132,7 @@ def _cmd_gen(args) -> int:
     elif args.generator == "pad":
         base = _load_instance(args.input)
         g = forge.pad_colours(base.graph, args.epsilon)
-    if args.path_intervals:
-        order = path_order(g)
-        if order is None:
-            raise TropidomError("--path-intervals requires the output to be a path")
-        canon = interval.path_intervals(g.n)
-        intervals = {order[i]: canon[i + 1] for i in range(g.n)}
-    text = instance_io.write_instance(g, intervals=intervals, legend=legend)
+    text = instance_io.write_instance(g, legend=legend)
     Path(args.out).write_text(text)
     _emit({"command": "gen", "generator": args.generator, "out": args.out, "instance": _digest(g)}, args)
     return EXIT_OK
@@ -165,6 +176,7 @@ def _cmd_audit(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
+    _require(args, args.experiment)
     if args.experiment == "threshold":
         c = args.c if args.c else problab.threshold_colours(args.n, args.p)
         model = problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
@@ -202,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="solve an instance file")
     p.add_argument("--algo", required=True, choices=["exact", "exact-rainbow", "greedy", "path53", "interval"])
     p.add_argument("--input", required=True)
-    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
@@ -219,14 +231,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--path-intervals", action="store_true", help="emit canonical path intervals")
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser("audit", help="audit the upper bounds on instances")
     p.add_argument("--input")
     p.add_argument("--corpus")
-    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_audit)
 
@@ -235,10 +246,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", type=int, required=True)
     p.add_argument("-p", type=float, required=True)
     p.add_argument("-c", type=int, default=None)
-    p.add_argument("--trials", "-T", type=int, required=True)
+    p.add_argument("--trials", "-T", type=_at_least_one, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--csv", default=None)
-    p.add_argument("--budget", type=_budget, default=exact.DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_experiment)
     return ap

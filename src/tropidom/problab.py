@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exact, forge
 from .errors import BadParametersError, BudgetExceededError
-from .graph import ColouredGraph, degree_profile, is_connected
+from .graph import ColouredGraph, build, degree_profile, is_connected
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,10 @@ def _window_floor(n: int, p: float) -> int:
     if n < 3 or not 0 < p < 1:
         raise BadParametersError(f"need n >= 3 and 0 < p < 1, got n={n} p={p}")
     ln_b = math.log(1.0 / (1.0 - p))
+    if ln_b == 0:
+        raise BadParametersError(f"p={p} is too small: 1 - p rounds to 1.0")
     log_b_n = math.log(n) / ln_b
     inner = log_b_n * math.log(n)
-    if inner <= 0:
-        raise BadParametersError("window formula undefined for these parameters")
     return math.floor(log_b_n - math.log(inner) / ln_b)
 
 
@@ -319,16 +319,18 @@ def _restricted_growth_colourings(n: int, c_max: int):
 
 
 def _connected_graphs_upto(max_n: int):
-    """Non-isomorphic connected graphs with 2..max_n vertices (atlas-backed)."""
+    """Non-isomorphic connected one-coloured graphs with 2..max_n vertices
+    (atlas-backed)."""
     import networkx as nx
 
     if max_n > 7:
         raise BadParametersError("exhaustive enumeration is limited to n <= 7")
     for G in nx.graph_atlas_g():
         n = G.number_of_nodes()
-        if 2 <= n <= max_n and nx.is_connected(G):
-            edges = [(u + 1, v + 1) for u, v in G.edges()]
-            yield n, edges
+        if 2 <= n <= max_n:
+            g = build(n, [(u + 1, v + 1) for u, v in G.edges()], [1] * n)
+            if is_connected(g):
+                yield g
 
 
 @dataclass
@@ -352,21 +354,16 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
     graphs = 0
     colourings = 0
     counterexamples = []
-    for n, edges in _connected_graphs_upto(max_n):
+    for g in _connected_graphs_upto(max_n):
         graphs += 1
-        closed = [1 << i for i in range(n)]
-        for u, v in edges:
-            closed[u - 1] |= 1 << (v - 1)
-            closed[v - 1] |= 1 << (u - 1)
-        full = (1 << n) - 1
-        deg = [closed[i].bit_count() - 1 for i in range(n)]
-        delta = min(deg)
+        n = g.n
+        delta = degree_profile(g).delta
         subs = np.arange(1 << n, dtype=np.int64)
         cover = np.zeros(1 << n, dtype=np.int64)
         for i in range(n):
             hit = (subs >> i) & 1 == 1
-            cover[hit] |= closed[i]
-        dominating = cover == full
+            cover[hit] |= g.closed_mask[i]
+        dominating = cover == g.full_mask
         popcnt = np.array([s.bit_count() for s in range(1 << n)], dtype=np.int64)
         for colouring in _restricted_growth_colourings(n, c_max):
             c = max(colouring)
@@ -384,7 +381,7 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
             bound = (n - c + 1) * delta / (3 * delta - 1) + c - 1
             if gt > bound:
                 counterexamples.append(
-                    {"n": n, "edges": edges, "colouring": list(colouring), "gamma_t": gt, "bound": bound}
+                    {"n": n, "edges": list(g.edges), "colouring": list(colouring), "gamma_t": gt, "bound": bound}
                 )
     return ConjectureReport(
         graphs_checked=graphs,

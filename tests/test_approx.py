@@ -17,8 +17,7 @@ from tropidom import (
     path_lower_bound,
 )
 from tropidom.approx import harmonic
-from tropidom.graph import path_order
-from tropidom.interval import build_interval_instance, path_intervals, tdn_interval
+from tropidom.interval import build_interval_instance, tdn_interval
 from tropidom.errors import NotAPathError, NotDominatingError
 
 
@@ -134,10 +133,7 @@ class TestPathFiveThirds:
             colours = list(range(1, c + 1)) + (rng.integers(0, c, size=n - c) + 1).tolist()
             rng.shuffle(colours)
             g = build(n, [(ids[i], ids[i + 1]) for i in range(n - 1)], colours)
-            order = path_order(g)
-            canon = path_intervals(n)
-            inst = build_interval_instance(g, {order[i]: canon[i + 1] for i in range(n)})
-            exact, dp, res = gamma_t(g), tdn_interval(inst), path_five_thirds(g)
+            exact, dp, res = gamma_t(g), tdn_interval(build_interval_instance(g)), path_five_thirds(g)
             assert path_lower_bound(g) <= exact.value == dp.value <= res.size
             assert res.size <= Fraction(5, 3) * exact.value
             for w in (dp.witness, res.witness):

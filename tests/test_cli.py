@@ -5,7 +5,16 @@ from pathlib import Path
 
 import pytest
 
-from tropidom import SolveResult, build, exact, gamma_t, parse_instance, write_instance
+from tropidom import (
+    SolveResult,
+    build,
+    exact,
+    gamma_t,
+    parse_instance,
+    path_intervals,
+    path_order,
+    write_instance,
+)
 from tropidom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
 
 P3 = "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 1 2\ne 2 3\n"
@@ -52,9 +61,14 @@ class TestSolve:
         assert code == EXIT_OK
         assert json.loads(out)["result"]["exists"] is True
 
-    def test_interval_without_representation(self, capsys, p3_file):
-        code, _, err = run(capsys, "solve", "--algo", "interval", "--input", p3_file)
-        assert code == EXIT_INPUT and "error" in err
+    def test_interval_without_representation(self, capsys, tmp_path):
+        # a triangle is an interval graph, but it is no path and its file has
+        # no 'i' lines
+        path = tmp_path / "k3.tdgs"
+        path.write_text(write_instance(build(3, [(1, 2), (1, 3), (2, 3)], [1, 2, 1])))
+        code, out, err = run(capsys, "solve", "--algo", "interval", "--input", str(path))
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: no interval representation given, and the graph is not a path\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "solve", "--algo", "exact", "--input", "/nonexistent")
@@ -96,6 +110,8 @@ class TestUsageErrors:
         ["solve", "--input", "x"],
         ["solve", "--algo", "exact", "--input", "x", "--budget", "0"],
         ["solve", "--algo", "exact", "--input", "x", "--budget", "-5"],
+        ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "0", "--seed", "3"],
+        ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "-3", "--seed", "3"],
         [],
     ])
     def test_usage_error_exits_with_input_code(self, capsys, argv):
@@ -104,6 +120,23 @@ class TestUsageErrors:
         out = capsys.readouterr()
         assert exc.value.code == EXIT_INPUT
         assert out.out == "" and "usage: tropidom" in out.err and "error:" in out.err
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["gen", "gnpc", "-p", "0.5", "-c", "2", "--seed", "1", "--out", "x"], "-n"),
+        (["gen", "extremal-gamma", "-c", "2", "--out", "x"], "--gamma"),
+        (["gen", "extremal-edges", "-n", "8", "-c", "2", "--out", "x"], "-k"),
+        (["gen", "sat", "--out", "x"], "--cnf"),
+        (["gen", "vc", "--out", "x"], "--edges"),
+        (["gen", "pad", "--input", "x", "--out", "x"], "--epsilon"),
+        (["experiment", "expectation", "-n", "10", "-p", "0.5", "--trials", "2",
+          "--seed", "1"], "-c"),
+    ])
+    def test_missing_option_is_named(self, capsys, tmp_path, monkeypatch, argv, flag):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err == f"error: {argv[0]} {argv[1]} requires {flag}\n"
+        assert not (tmp_path / "x").exists()
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -165,20 +198,38 @@ class TestGen:
         assert code == EXIT_OK
         assert parse_instance(pout.read_text()).graph.n > 9 * 3 + 3
 
+        # tails of 2^500 and 2^50 vertices, refused before anything is built
+        for epsilon in ("0.01", "0.1"):
+            code, out, err = run(
+                capsys, "gen", "pad", "--input", str(vout), "--epsilon", epsilon,
+                "--out", str(pout),
+            )
+            assert code == EXIT_INPUT and out == ""
+            assert err.startswith(f"error: epsilon={epsilon} needs a tail of N = ceil(32^(1/epsilon))")
+
     def test_path_intervals_round_trip(self, capsys, tmp_path):
+        # the bare path solves as if its file carried path_intervals laid
+        # along path_order
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 2 1\n1 -2 2 0\n")
         out = tmp_path / "sat.tdgs"
-        code, _, _ = run(
-            capsys, "gen", "sat", "--cnf", str(cnf), "--out", str(out),
-            "--path-intervals",
-        )
+        code, _, _ = run(capsys, "gen", "sat", "--cnf", str(cnf), "--out", str(out))
         assert code == EXIT_OK
         inst = parse_instance(out.read_text())
-        assert inst.intervals is not None
+        assert inst.intervals is None
         code, stdout, _ = run(capsys, "solve", "--algo", "interval", "--input", str(out))
         assert code == EXIT_OK
         assert json.loads(stdout)["result"]["value"] == gamma_t(inst.graph).value
+
+        g = inst.graph
+        canon = path_intervals(g.n)
+        laid = {v: canon[i] for i, v in enumerate(path_order(g), 1)}
+        with_intervals = tmp_path / "sat_i.tdgs"
+        with_intervals.write_text(write_instance(g, intervals=laid, legend=inst.legend))
+        code, stdout_i, _ = run(
+            capsys, "solve", "--algo", "interval", "--input", str(with_intervals)
+        )
+        assert code == EXIT_OK and stdout_i == stdout
 
 
 class TestAudit:
@@ -225,6 +276,16 @@ class TestExperiment:
         assert code == EXIT_OK
         assert "window" in json.loads(out)["summary"]
 
+    @pytest.mark.parametrize("experiment", ["threshold", "concentration"])
+    def test_p_below_double_resolution(self, capsys, experiment):
+        # 1 - 1e-17 rounds to 1.0, so the window formula's log base is undefined
+        code, out, err = run(
+            capsys, "experiment", experiment, "-n", "100", "-p", "1e-17",
+            "--trials", "1", "--seed", "4",
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: p=1e-17 is too small: 1 - p rounds to 1.0\n"
+
     def test_deterministic_output(self, capsys):
         argv = [
             "experiment", "expectation", "-n", "10", "-p", "0.5", "-c", "2",
@@ -243,7 +304,7 @@ ALGOS = ("exact", "exact-rainbow", "greedy", "path53", "interval")
 GOLDEN_CASES = {
     "gen_gnpc": ["gen", "gnpc", "-n", "14", "-p", "0.3", "-c", "4", "--seed", "5",
                  "--out", "g.tdgs"],
-    "gen_vc": ["gen", "vc", "--edges", "cover.edges", "--path-intervals", "--out", "v.tdgs"],
+    "gen_vc": ["gen", "vc", "--edges", "cover.edges", "--out", "v.tdgs"],
     **{
         f"solve_{algo}_{inp[0]}": ["solve", "--algo", algo, "--input", inp]
         for inp in ("g.tdgs", "v.tdgs")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,25 @@ class TestPadColours:
         g = build(2, [(1, 2)], [1, 2])
         with pytest.raises(BadEpsilonError):
             pad_colours(g, 1.5)
+
+    @pytest.mark.parametrize("n, epsilon", [(21, 0.01), (21, 0.1), (1447, 0.5)])
+    def test_oversized_tail_refused_before_allocating(self, n, epsilon):
+        # N = ceil((n+2)^(1/eps)) is 23^100, 23^10 ~ 4e13 and 1449^2 = 2^21 + 2449
+        g = build(n, [(i, i + 1) for i in range(1, n)], [1] * n)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BadEpsilonError, match=r"over the limit of 2\^21"):
+                pad_colours(g, epsilon)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_small_tail_still_built(self):
+        g = build(21, [(i, i + 1) for i in range(1, 21)], [1] * 21)
+        out = pad_colours(g, 0.9)
+        assert out.n == 21 + math.ceil(23 ** (1 / 0.9))
+        assert path_order(out) is not None
 
     def test_shape(self):
         g = build(3, [(1, 2), (2, 3)], [1, 2, 1])

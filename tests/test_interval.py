@@ -21,7 +21,7 @@ from tropidom import (
     vc_to_path,
 )
 from tropidom import interval
-from tropidom.errors import RepresentationMismatchError, TooManyColoursError
+from tropidom.errors import NoRepresentationError, RepresentationMismatchError, TooManyColoursError
 from tropidom.graph import ColouredGraph
 from tropidom.interval import IntervalInstance
 
@@ -47,15 +47,27 @@ class TestBuild:
     def test_wrong_count_rejected(self):
         g = build(3, [(1, 2)], [1, 2, 1])
         with pytest.raises(RepresentationMismatchError):
-            build_interval_instance(g, [(0, 2), (1, 3)])
+            build_interval_instance(g, {1: (0, 2), 2: (1, 3)})
 
-    def test_pair_list_equals_dict(self):
-        rng = np.random.default_rng(67)
-        for _ in range(40):
-            n, edges, colours, pairs = random_interval_instance(rng, n_max=30, span=8)
-            g = build(n, edges, colours)
-            as_list = [pairs[v] for v in range(1, n + 1)]
-            assert build_interval_instance(g, as_list) == build_interval_instance(g, pairs)
+    def test_path_gets_path_intervals_along_path_order(self):
+        g = build(5, [(4, 1), (1, 5), (5, 2), (2, 3)], [1, 2, 1, 2, 3])
+        order = path_order(g)
+        assert order == [3, 2, 5, 1, 4]
+        canon = path_intervals(5)
+        laid = {v: canon[i] for i, v in enumerate(order, 1)}
+        assert build_interval_instance(g) == build_interval_instance(g, laid)
+        assert build_interval_instance(build(1, [], [1])).order == (1,)
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(1, 2), (1, 3), (2, 3)]),  # a triangle, an interval graph
+        (4, [(1, 2), (1, 3), (1, 4)]),  # a star
+        (2, []),  # two isolated vertices
+        (5, [(1, 2), (3, 4), (4, 5), (3, 5)]),  # a path beside a cycle
+    ])
+    def test_non_path_needs_a_representation(self, n, edges):
+        g = build(n, edges, [1] * n)
+        with pytest.raises(NoRepresentationError, match="not a path"):
+            build_interval_instance(g)
 
     def test_mismatch_names_first_differing_pair(self):
         # flip a few pairs; the message names the least (u, v) that differs
@@ -95,7 +107,7 @@ class TestBuild:
                 build_interval_instance(build(3, edges, [1, 2, 1]), PAIRS)
             assert str(exc.value) == message
         with pytest.raises(RepresentationMismatchError) as exc:
-            build_interval_instance(build(2, [], [1, 1]), [(0, 10), (5, -1)])
+            build_interval_instance(build(2, [], [1, 1]), {1: (0, 10), 2: (5, -1)})
         assert str(exc.value) == "vertex 2: interval [5,-1] has l > r"
 
     def test_inverted_interval_rejected(self):

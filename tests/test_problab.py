@@ -47,6 +47,13 @@ class TestFormulas:
         assert concentration_window(100, 0.5) == (2, 3)
         assert concentration_window(1000, 0.5) == (4, 5)
 
+    @pytest.mark.parametrize("formula", [threshold_colours, concentration_window])
+    def test_p_below_double_resolution(self, formula):
+        # 1 - 1e-17 rounds to 1.0: the log base 1/(1-p) is 0 and the window
+        # formula divided by it
+        with pytest.raises(BadParametersError, match=r"1 - p rounds to 1\.0"):
+            formula(100, 1e-17)
+
     def test_parameter_validation(self):
         with pytest.raises(BadParametersError):
             threshold_colours(2, 0.5)
