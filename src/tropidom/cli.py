@@ -10,6 +10,7 @@ emitted with --timing to keep default output deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -30,27 +31,6 @@ def _at_least_one(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
-
-
-# the options each generator or experiment reads beyond its parser's required ones
-_NEEDS = {
-    "gnpc": ("n", "p", "c", "seed"),
-    "extremal-gamma": ("gamma", "c"),
-    "extremal-edges": ("n", "k", "c"),
-    "sat": ("cnf",),
-    "vc": ("edges",),
-    "pad": ("input", "epsilon"),
-    "expectation": ("c",),
-}
-
-
-def _require(args, name: str) -> None:
-    """Raise naming the first option that generator or experiment name needs
-    and args lacks."""
-    for opt in _NEEDS.get(name, ()):
-        if getattr(args, opt) is None:
-            flag = f"-{opt}" if len(opt) == 1 else f"--{opt}"
-            raise TropidomError(f"{args.command} {name} requires {flag}")
 
 
 def _digest(g) -> dict:
@@ -100,38 +80,23 @@ def _cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _read_edge_list(path: str):
+def _read_edge_list(path: str) -> forge.SubcubicGraph:
     edges = []
-    for line in Path(path).read_text().splitlines():
+    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        u, v = (int(x) for x in line.split())
+        u, v = instance_io._ints(line.split(), line_no, 2, "edge")
         edges.append((u, v))
-    n = max(max(u, v) for u, v in edges)
-    return n, edges
+    return forge.SubcubicGraph(n=max((max(e) for e in edges), default=0), edges=tuple(edges))
+
+
+def _reduction(art: forge.ReductionArtifact):
+    return art.path, art.colour_legend
 
 
 def _cmd_gen(args) -> int:
-    _require(args, args.generator)
-    legend = None
-    if args.generator == "gnpc":
-        g = forge.gen_gnpc(args.n, args.p, args.c, seed=args.seed)
-    elif args.generator == "extremal-gamma":
-        g = forge.extremal_gamma_plus(args.gamma, args.c)
-    elif args.generator == "extremal-edges":
-        g = forge.extremal_edge_bound(args.n, args.k, args.c)
-    elif args.generator == "sat":
-        f = forge.parse_dimacs_cnf(Path(args.cnf).read_text())
-        art = forge.sat_to_path(f)
-        g, legend = art.path, art.colour_legend
-    elif args.generator == "vc":
-        n, edges = _read_edge_list(args.edges)
-        art = forge.vc_to_path(forge.SubcubicGraph(n=n, edges=tuple(edges)))
-        g, legend = art.path, art.colour_legend
-    elif args.generator == "pad":
-        base = _load_instance(args.input)
-        g = forge.pad_colours(base.graph, args.epsilon)
+    g, legend = args.make(args)
     text = instance_io.write_instance(g, legend=legend)
     Path(args.out).write_text(text)
     _emit({"command": "gen", "generator": args.generator, "out": args.out, "instance": _digest(g)}, args)
@@ -139,12 +104,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if args.input:
+    if args.input is not None:
         paths = [args.input]
-    elif args.corpus:
-        paths = sorted(str(p) for p in Path(args.corpus).iterdir() if p.is_file())
     else:
-        raise TropidomError("audit needs --input FILE or --corpus DIR")
+        paths = sorted(str(p) for p in Path(args.corpus).iterdir() if p.is_file())
     reports = []
     for path in paths:
         g = _load_instance(path).graph
@@ -175,24 +138,28 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
+def _threshold(args):
+    c = args.c if args.c is not None else problab.threshold_colours(args.n, args.p)
+    model = problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
+    report = problab.run_threshold_experiment(model, args.trials, budget=args.budget)
+    return report, {**report.to_json_dict(), "success_fraction": problab.success_fraction(report)}
+
+
+def _expectation(args):
+    model = problab.RandomModel(n=args.n, p=args.p, c=args.c, seed=args.seed)
+    report = problab.run_expectation_experiment(model, args.trials, budget=args.budget)
+    return report, report.to_json_dict()
+
+
+def _concentration(args):
+    report = problab.run_concentration_experiment(
+        args.n, args.p, args.trials, seed=args.seed, budget=args.budget
+    )
+    return report, {**report.to_json_dict(), "window": report.params["window"]}
+
+
 def _cmd_experiment(args) -> int:
-    _require(args, args.experiment)
-    if args.experiment == "threshold":
-        c = args.c if args.c else problab.threshold_colours(args.n, args.p)
-        model = problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
-        report = problab.run_threshold_experiment(model, args.trials, budget=args.budget)
-        summary = report.to_json_dict()
-        summary["success_fraction"] = problab.success_fraction(report)
-    elif args.experiment == "expectation":
-        model = problab.RandomModel(n=args.n, p=args.p, c=args.c, seed=args.seed)
-        report = problab.run_expectation_experiment(model, args.trials, budget=args.budget)
-        summary = report.to_json_dict()
-    elif args.experiment == "concentration":
-        report = problab.run_concentration_experiment(
-            args.n, args.p, args.trials, seed=args.seed, budget=args.budget
-        )
-        summary = report.to_json_dict()
-        summary["window"] = report.params["window"]
+    report, summary = args.run(args)
     if args.csv:
         Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n")
     _emit({"command": "experiment", "experiment": args.experiment, "summary": summary}, args)
@@ -207,7 +174,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: callers that run main once
+    per item would otherwise rebuild every sub-parser each time. Parsing
+    does not change it, so every call can share it."""
     ap = _Parser(prog="tropidom")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -218,40 +189,60 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("gen", help="generate an instance file")
-    p.add_argument("generator", choices=["gnpc", "extremal-gamma", "extremal-edges", "sat", "vc", "pad"])
-    p.add_argument("-n", type=int)
-    p.add_argument("-p", type=float)
-    p.add_argument("-c", type=int)
-    p.add_argument("-k", type=int)
-    p.add_argument("--gamma", type=int)
-    p.add_argument("--cnf", help="DIMACS-CNF input (sat)")
-    p.add_argument("--edges", help="edge-list input, one 'u v' per line (vc)")
-    p.add_argument("--input", help="base path instance (pad)")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--out", required=True)
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_gen)
+    gens = sub.add_parser("gen", help="generate an instance file").add_subparsers(
+        dest="generator", required=True
+    )
+    # name, help, the options it reads (flag -> type), and what it makes of them
+    for name, about, options, make in [
+        ("gnpc", "random graph G(n, p, c)", {"-n": int, "-p": float, "-c": _at_least_one, "--seed": int},
+         lambda a: (forge.gen_gnpc(a.n, a.p, a.c, seed=a.seed), None)),
+        ("extremal-gamma", "graph with gamma_t = gamma + c - 1", {"--gamma": int, "-c": _at_least_one},
+         lambda a: (forge.extremal_gamma_plus(a.gamma, a.c), None)),
+        ("extremal-edges", "graph with gamma_t = k and as many edges as the edge bound allows",
+         {"-n": int, "-k": int, "-c": _at_least_one},
+         lambda a: (forge.extremal_edge_bound(a.n, a.k, a.c), None)),
+        ("sat", "coloured path of a 3-SAT formula in DIMACS CNF", {"--cnf": str},
+         lambda a: _reduction(forge.sat_to_path(forge.parse_dimacs_cnf(Path(a.cnf).read_text())))),
+        ("vc", "coloured path of a subcubic graph given one edge 'u v' per line", {"--edges": str},
+         lambda a: _reduction(forge.vc_to_path(_read_edge_list(a.edges)))),
+        ("pad", "path instance padded with a two-colour tail", {"--input": str, "--epsilon": float},
+         lambda a: (forge.pad_colours(_load_instance(a.input).graph, a.epsilon), None)),
+    ]:
+        p = gens.add_parser(name, help=about)
+        for flag, type_ in options.items():
+            p.add_argument(flag, type=type_, required=True)
+        p.add_argument("--out", required=True)
+        p.add_argument("--timing", action="store_true")
+        p.set_defaults(func=_cmd_gen, make=make)
 
     p = sub.add_parser("audit", help="audit the upper bounds on instances")
-    p.add_argument("--input")
-    p.add_argument("--corpus")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input")
+    source.add_argument("--corpus")
     p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
     p.set_defaults(func=_cmd_audit)
 
-    p = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment")
-    p.add_argument("experiment", choices=["threshold", "expectation", "concentration"])
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("-p", type=float, required=True)
-    p.add_argument("-c", type=int, default=None)
-    p.add_argument("--trials", "-T", type=_at_least_one, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--csv", default=None)
-    p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
-    p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_experiment)
+    kinds = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment").add_subparsers(
+        dest="experiment", required=True
+    )
+    # name, what it runs, and how it takes -c (None: not at all)
+    for name, run, c in [
+        ("threshold", _threshold, {"help": "default: the threshold formula's colour count"}),
+        ("expectation", _expectation, {"required": True}),
+        ("concentration", _concentration, None),
+    ]:
+        p = kinds.add_parser(name)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("-p", type=float, required=True)
+        if c is not None:
+            p.add_argument("-c", type=_at_least_one, **c)
+        p.add_argument("--trials", "-T", type=_at_least_one, required=True)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--csv", default=None)
+        p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
+        p.add_argument("--timing", action="store_true")
+        p.set_defaults(func=_cmd_experiment, run=run)
     return ap
 
 

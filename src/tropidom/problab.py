@@ -114,6 +114,8 @@ def threshold_colours(n: int, p: float) -> int:
 def concentration_window(n: int, p: float) -> tuple[int, int]:
     """Two-point window for the domination number of G(n, p)."""
     low = _window_floor(n, p) + 1
+    if low < 1:
+        raise BadParametersError(f"concentration window starts at {low} < 1 at n={n} p={p}")
     return (low, low + 1)
 
 

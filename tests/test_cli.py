@@ -1,10 +1,14 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tropidom
 from tropidom import (
     SolveResult,
     build,
@@ -24,6 +28,16 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def usage_error(capsys, *argv):
+    """stderr of argv, which must exit 1 with a usage line and no stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    out = capsys.readouterr()
+    assert exc.value.code == EXIT_INPUT and out.out == ""
+    assert out.err.startswith("usage: tropidom ")
+    return out.err
 
 
 @pytest.fixture
@@ -113,6 +127,7 @@ class TestUsageErrors:
         ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "0", "--seed", "3"],
         ["experiment", "threshold", "-n", "14", "-p", "0.5", "--trials", "-3", "--seed", "3"],
         [],
+        ["experiment", "threshold", "-n", "12", "-p", "0.5", "-c", "0", "--trials", "2", "--seed", "1"],
     ])
     def test_usage_error_exits_with_input_code(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -133,9 +148,23 @@ class TestUsageErrors:
     ])
     def test_missing_option_is_named(self, capsys, tmp_path, monkeypatch, argv, flag):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, *argv)
-        assert code == EXIT_INPUT and out == ""
-        assert err == f"error: {argv[0]} {argv[1]} requires {flag}\n"
+        err = usage_error(capsys, *argv)
+        assert err.startswith(f"usage: tropidom {argv[0]} {argv[1]} ")
+        assert err.endswith(f"error: the following arguments are required: {flag}\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "extremal-gamma", "--gamma", "2", "-c", "2", "-n", "9", "--out", "x"],
+         "unrecognized arguments: -n 9"),
+        (["experiment", "concentration", "-n", "20", "-p", "0.5", "--trials", "2", "--seed", "1",
+          "-c", "7"], "unrecognized arguments: -c 7"),
+        (["audit", "--input", "f", "--corpus", "d"],
+         "argument --corpus: not allowed with argument --input"),
+    ])
+    def test_foreign_option_is_refused(self, capsys, tmp_path, monkeypatch, argv, message):
+        # an option that another generator, experiment or source reads
+        monkeypatch.chdir(tmp_path)
+        assert usage_error(capsys, *argv).endswith(f"error: {message}\n")
         assert not (tmp_path / "x").exists()
 
     def test_help_exits_zero(self, capsys):
@@ -159,11 +188,12 @@ class TestGen:
         assert files[0] == files[1]
 
     def test_gnpc_requires_seed(self, capsys, tmp_path):
-        code, _, err = run(
+        err = usage_error(
             capsys, "gen", "gnpc", "-n", "5", "-p", "0.5", "-c", "2",
             "--out", str(tmp_path / "x"),
         )
-        assert code == EXIT_INPUT and "seed" in err
+        assert err.endswith("error: the following arguments are required: --seed\n")
+        assert not (tmp_path / "x").exists()
 
     def test_extremal_generators(self, capsys, tmp_path):
         out = tmp_path / "eg"
@@ -206,6 +236,21 @@ class TestGen:
             )
             assert code == EXIT_INPUT and out == ""
             assert err.startswith(f"error: epsilon={epsilon} needs a tail of N = ceil(32^(1/epsilon))")
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "need at least one edge"),
+        ("# no edges\n\n", "need at least one edge"),
+        ("1 2\n2 3 4\n", "line 2: edge line needs 2 fields, got 3"),
+        ("1 2\n# c\n2 x\n", "line 3: edge line has a non-integer field"),
+    ])
+    def test_vc_edge_list_errors(self, capsys, tmp_path, text, message):
+        edges = tmp_path / "g.edges"
+        edges.write_text(text)
+        out = tmp_path / "vc.tdgs"
+        code, stdout, err = run(capsys, "gen", "vc", "--edges", str(edges), "--out", str(out))
+        assert code == EXIT_INPUT and stdout == ""
+        assert err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_path_intervals_round_trip(self, capsys, tmp_path):
         # the bare path solves as if its file carried path_intervals laid
@@ -250,8 +295,8 @@ class TestAudit:
         assert len(json.loads(out)["reports"]) == 3
 
     def test_requires_source(self, capsys):
-        code, _, err = run(capsys, "audit")
-        assert code == EXIT_INPUT and err
+        err = usage_error(capsys, "audit")
+        assert err.endswith("error: one of the arguments --input --corpus is required\n")
 
 
 class TestExperiment:
@@ -286,6 +331,14 @@ class TestExperiment:
         assert code == EXIT_INPUT and out == ""
         assert err == "error: p=1e-17 is too small: 1 - p rounds to 1.0\n"
 
+    def test_window_below_one_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "experiment", "concentration", "-n", "20", "-p", "0.001",
+            "--trials", "2", "--seed", "1",
+        )
+        assert code == EXIT_INPUT and out == ""
+        assert err == "error: concentration window starts at -6102 < 1 at n=20 p=0.001\n"
+
     def test_deterministic_output(self, capsys):
         argv = [
             "experiment", "expectation", "-n", "10", "-p", "0.5", "-c", "2",
@@ -297,6 +350,28 @@ class TestExperiment:
             assert code == EXIT_OK
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+def test_module_entry_point(tmp_path):
+    """python -m tropidom.cli exits 1 on a sub-parser's usage error, not
+    argparse's own 2 (EXIT_BUDGET), and 0 on a run that writes its file."""
+    src = str(Path(tropidom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "tropidom.cli", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    bad = cli("gen", "gnpc", "-n", "5", "-p", "0.5", "-c", "2", "--out", "g.tdgs")
+    assert bad.returncode == EXIT_INPUT and bad.stdout == ""
+    assert bad.stderr.startswith("usage: tropidom gen gnpc ") and "--seed" in bad.stderr
+    assert not (tmp_path / "g.tdgs").exists()
+    ok = cli("gen", "gnpc", "-n", "5", "-p", "0.5", "-c", "2", "--seed", "1", "--out", "g.tdgs")
+    assert ok.returncode == EXIT_OK
+    assert json.loads(ok.stdout)["instance"]["n"] == 5
+    assert parse_instance((tmp_path / "g.tdgs").read_text()).graph.n == 5
 
 
 ALGOS = ("exact", "exact-rainbow", "greedy", "path53", "interval")

@@ -47,6 +47,13 @@ class TestFormulas:
         assert concentration_window(100, 0.5) == (2, 3)
         assert concentration_window(1000, 0.5) == (4, 5)
 
+    def test_concentration_window_starts_at_one(self):
+        assert concentration_window(20, 0.5) == (1, 2)
+        # small p pushed the window's lower end to -5353 and -6102
+        for n in (100, 20):
+            with pytest.raises(BadParametersError, match=r"window starts at -\d+ < 1"):
+                concentration_window(n, 1e-3)
+
     @pytest.mark.parametrize("formula", [threshold_colours, concentration_window])
     def test_p_below_double_resolution(self, formula):
         # 1 - 1e-17 rounds to 1.0: the log base 1/(1-p) is 0 and the window
