@@ -8,6 +8,7 @@ re-solving exactly.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,9 @@ class ApproxResult:
 
 
 def harmonic(k: int) -> Fraction:
-    return sum((Fraction(1, i) for i in range(1, k + 1)), Fraction(0))
+    """H(k) = 1 + 1/2 + ... + 1/k, summed over the common denominator lcm(1..k)."""
+    lcm = math.lcm(*range(1, k + 1))
+    return Fraction(sum(lcm // i for i in range(1, k + 1)), lcm)
 
 
 def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:

@@ -187,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_solve)
+    p.set_defaults(func=_cmd_solve, parser=p)
 
     gens = sub.add_parser("gen", help="generate an instance file").add_subparsers(
         dest="generator", required=True
@@ -213,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, type=type_, required=True)
         p.add_argument("--out", required=True)
         p.add_argument("--timing", action="store_true")
-        p.set_defaults(func=_cmd_gen, make=make)
+        p.set_defaults(func=_cmd_gen, make=make, parser=p)
 
     p = sub.add_parser("audit", help="audit the upper bounds on instances")
     source = p.add_mutually_exclusive_group(required=True)
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--corpus")
     p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
     p.add_argument("--timing", action="store_true")
-    p.set_defaults(func=_cmd_audit)
+    p.set_defaults(func=_cmd_audit, parser=p)
 
     kinds = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment").add_subparsers(
         dest="experiment", required=True
@@ -242,13 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--csv", default=None)
         p.add_argument("--budget", type=_at_least_one, default=exact.DEFAULT_BUDGET)
         p.add_argument("--timing", action="store_true")
-        p.set_defaults(func=_cmd_experiment, run=run)
+        p.set_defaults(func=_cmd_experiment, run=run, parser=p)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:
+        # argparse leaves a sub-parser's leftovers to the root parser, whose
+        # usage line would not name the command that refused them
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     args._t0 = time.perf_counter()
     try:
         return args.func(args)

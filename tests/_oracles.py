@@ -190,3 +190,120 @@ def reference_edge_check(n, edges):
             return "DuplicateEdgeError", f"duplicate edge ({pair[0]},{pair[1]})"
         seen.add(pair)
     return "ok", sorted(seen)
+
+
+def _reference_ints(parts, expect, what):
+    if len(parts) != expect:
+        return f"{what} line needs {expect} fields, got {len(parts)}"
+    try:
+        return [int(x) for x in parts]
+    except ValueError:
+        return f"{what} line has a non-integer field"
+
+
+def reference_parse(text):
+    """The `p tdgs` reader as one loop over the lines, checking each in order.
+
+    Returns ("ok", n, edges, colours, intervals, legend), with the edges as
+    (u, v) pairs in file order, colours[v-1] the colour of vertex v and
+    intervals None when the text has none; or ("error", line_no, message)
+    for the first offending line. Past the last line it makes the checks
+    that building the graph makes: the edges in file order for a repeat,
+    then every colour in 1..max colour in use, then max colour = c.
+    """
+    header = None
+    header_line = 0
+    colours = {}
+    edges = []
+    intervals = {}
+    legend = {}
+
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.startswith("#"):
+            parts = line[1:].split()
+            if len(parts) == 3 and parts[0] == "legend":
+                try:
+                    legend[int(parts[1])] = parts[2]
+                except ValueError:
+                    pass
+            continue
+        fields = line.split()
+        if not fields:
+            return "error", line_no, "blank line not allowed"
+        tag, rest = fields[0], fields[1:]
+        if tag == "p":
+            if header is not None:
+                return "error", line_no, "duplicate header"
+            if not rest or rest[0] != "tdgs":
+                return "error", line_no, "header must read 'p tdgs <n> <m> <c>'"
+            values = _reference_ints(rest[1:], 3, "header")
+            if isinstance(values, str):
+                return "error", line_no, values
+            n, m, c = values
+            if n < 1 or m < 0 or c < 1:
+                return "error", line_no, "header values out of range"
+            header = (n, m, c)
+            header_line = line_no
+            continue
+        if header is None:
+            return "error", line_no, "record before 'p tdgs' header"
+        n, m, c = header
+        if tag == "v":
+            values = _reference_ints(rest, 2, "vertex")
+            if isinstance(values, str):
+                return "error", line_no, values
+            vid, col = values
+            if not 1 <= vid <= n:
+                return "error", line_no, f"vertex id {vid} outside 1..{n}"
+            if vid in colours:
+                return "error", line_no, f"vertex {vid} declared twice"
+            if not 1 <= col <= c:
+                return "error", line_no, f"colour {col} outside 1..{c}"
+            colours[vid] = col
+        elif tag == "e":
+            values = _reference_ints(rest, 2, "edge")
+            if isinstance(values, str):
+                return "error", line_no, values
+            u, v = values
+            if not (1 <= u <= n and 1 <= v <= n):
+                return "error", line_no, f"edge endpoint outside 1..{n}"
+            if u >= v:
+                return "error", line_no, "edges must satisfy u < v"
+            edges.append((u, v))
+        elif tag == "i":
+            values = _reference_ints(rest, 3, "interval")
+            if isinstance(values, str):
+                return "error", line_no, values
+            vid, lo, hi = values
+            if not 1 <= vid <= n:
+                return "error", line_no, f"interval id {vid} outside 1..{n}"
+            if vid in intervals:
+                return "error", line_no, f"interval for vertex {vid} declared twice"
+            if lo > hi:
+                return "error", line_no, f"interval [{lo},{hi}] has l > r"
+            intervals[vid] = (lo, hi)
+        else:
+            return "error", line_no, f"unknown record tag '{tag}'"
+
+    if header is None:
+        return "error", 1, "missing 'p tdgs' header"
+    n, m, c = header
+    if len(colours) != n:
+        return "error", header_line, f"expected {n} vertex lines, got {len(colours)}"
+    if len(edges) != m:
+        return "error", header_line, f"expected {m} edge lines, got {len(edges)}"
+    if intervals and len(intervals) != n:
+        return "error", header_line, f"interval lines are all-or-none: got {len(intervals)} of {n}"
+    seen = set()
+    for u, v in edges:
+        if (u, v) in seen:
+            return "error", header_line, f"duplicate edge ({u},{v})"
+        seen.add((u, v))
+    by_vertex = [colours[v] for v in range(1, n + 1)]
+    top, used = max(by_vertex), set(by_vertex)
+    for k in range(1, top + 1):
+        if k not in used:
+            return "error", header_line, f"colour {k} unused (colours must cover 1..{top})"
+    if top != c:
+        return "error", header_line, f"header declares c={c} but max colour is {top}"
+    return "ok", n, edges, by_vertex, intervals or None, legend

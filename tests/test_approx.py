@@ -37,6 +37,13 @@ def test_harmonic():
     assert harmonic(3) == Fraction(11, 6)
 
 
+def test_harmonic_equals_the_plain_fraction_sum():
+    total = Fraction(0)
+    for k in range(1, 401):
+        total += Fraction(1, k)
+        assert harmonic(k) == total
+
+
 class TestGreedy:
     def test_star_single_colour(self):
         g = build(5, [(1, v) for v in range(2, 6)], [1] * 5)

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -164,7 +165,11 @@ class TestUsageErrors:
     def test_foreign_option_is_refused(self, capsys, tmp_path, monkeypatch, argv, message):
         # an option that another generator, experiment or source reads
         monkeypatch.chdir(tmp_path)
-        assert usage_error(capsys, *argv).endswith(f"error: {message}\n")
+        err = usage_error(capsys, *argv)
+        assert err.endswith(f"error: {message}\n")
+        # the command that refused it gives the usage line and the error line
+        prog = " ".join(["tropidom", *itertools.takewhile(lambda a: not a.startswith("-"), argv)])
+        assert err.startswith(f"usage: {prog} ") and err.endswith(f"\n{prog}: error: {message}\n")
         assert not (tmp_path / "x").exists()
 
     def test_help_exits_zero(self, capsys):

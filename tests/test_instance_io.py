@@ -1,12 +1,14 @@
+import gc
 import string
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import random_coloured_graph
-from tropidom import Instance, build, parse_instance, write_instance
+from _oracles import random_coloured_graph, reference_parse
+from tropidom import Instance, build, gen_gnpc, parse_instance, write_instance
 from tropidom.errors import ParseError
 
 GOOD = """\
@@ -89,24 +91,68 @@ def test_round_trip_with_intervals_and_legend(inst):
         ("p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 2\n", 1),  # partial intervals
         ("p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 3 2\ni 2 0 1\n", 5),  # l > r
         ("p tdgs 2 1 2\nv 1 2\nv 2 2\ne 1 2\n", 1),  # colour 1 unused
+        ("p tdgs 2 1\n", 1),  # header field count
+        ("p tdgs 2 x 1\n", 1),  # header non-integer
+        ("p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1\n", 4),  # edge field count
+        ("p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 3 0 1\ni 1 0 1\n", 5),  # interval id range
+        ("p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 1\ni 1 0 1\n", 6),  # interval twice
+        ("p tdgs 2 1 1\nv 1 1\nv 9223372036854775808 1\ne 1 2\n", 3),  # id beyond int64
+        ("p tdgs 2 0 1\nv 1\nv v 1 2\n", 2),  # short record, then a long one holding the tag
+        ("p tdgs 2 0 1\nv 1 1\nv 1 5\n", 3),  # repeat checked before colour
+        ("p tdgs 1 0 1\nv 1 1\ni 1 3 2\n", 3),  # the only interval line
     ],
 )
 def test_rejections_carry_line_numbers(text, line):
     with pytest.raises(ParseError) as exc:
         parse_instance(text)
     assert exc.value.line_no == line
+    assert str(exc.value) == f"line {line}: {REJECTION_MESSAGES[text]}"
+
+
+# The message each rejection above carries, as the line-by-line parser wrote it.
+REJECTION_MESSAGES = {
+    "": "missing 'p tdgs' header",
+    "p tdgs 1 0 1\n\nv 1 1\n": "blank line not allowed",
+    "v 1 1\np tdgs 1 0 1\n": "record before 'p tdgs' header",
+    "p tdgs 1 0 1\np tdgs 1 0 1\nv 1 1\n": "duplicate header",
+    "p cnf 1 0\n": "header must read 'p tdgs <n> <m> <c>'",
+    "p tdgs 0 0 1\n": "header values out of range",
+    "p tdgs 2 1 1\nv 1 1\nv 1 1\ne 1 2\n": "vertex 1 declared twice",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 2 1\n": "edges must satisfy u < v",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 3\n": "edge endpoint outside 1..2",
+    "p tdgs 2 1 2\nv 1 1\nv 2 3\ne 1 2\n": "colour 3 outside 1..2",
+    "p tdgs 2 1 1\nv 1 1\nv 2 x\ne 1 2\n": "vertex line has a non-integer field",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\nq 1\n": "unknown record tag 'q'",
+    "p tdgs 2 1 1\nv 1 1\ne 1 2\n": "expected 2 vertex lines, got 1",
+    "p tdgs 2 0 1\nv 1 1\nv 2 1\ne 1 2\n": "expected 0 edge lines, got 1",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 2\n": "interval lines are all-or-none: got 1 of 2",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 3 2\ni 2 0 1\n": "interval [3,2] has l > r",
+    "p tdgs 2 1 2\nv 1 2\nv 2 2\ne 1 2\n": "colour 1 unused (colours must cover 1..2)",
+    "p tdgs 2 1\n": "header line needs 3 fields, got 2",
+    "p tdgs 2 x 1\n": "header line has a non-integer field",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1\n": "edge line needs 2 fields, got 1",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 3 0 1\ni 1 0 1\n": "interval id 3 outside 1..2",
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 1\ni 1 0 1\n": "interval for vertex 1 declared twice",
+    "p tdgs 2 1 1\nv 1 1\nv 9223372036854775808 1\ne 1 2\n":
+        "vertex id 9223372036854775808 outside 1..2",
+    "p tdgs 2 0 1\nv 1\nv v 1 2\n": "vertex line needs 2 fields, got 1",
+    "p tdgs 2 0 1\nv 1 1\nv 1 5\n": "vertex 1 declared twice",
+    "p tdgs 1 0 1\nv 1 1\ni 1 3 2\n": "interval [3,2] has l > r",
+}
 
 
 def test_duplicate_edge_reported_as_parse_error():
     text = "p tdgs 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 1 2\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_instance(text)
+    assert str(exc.value) == "line 1: duplicate edge (1,2)"
 
 
 def test_header_colour_count_must_match():
     text = "p tdgs 2 1 2\nv 1 1\nv 2 1\ne 1 2\n"
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_instance(text)
+    assert str(exc.value) == "line 1: header declares c=2 but max colour is 1"
 
 
 def test_writer_emits_lf_and_trailing_newline():
@@ -114,3 +160,110 @@ def test_writer_emits_lf_and_trailing_newline():
     text = write_instance(g)
     assert "\r" not in text
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+def _outcome(text):
+    """parse_instance's result in reference_parse's terms."""
+    try:
+        inst = parse_instance(text)
+    except ParseError as exc:
+        prefix = f"line {exc.line_no}: "
+        assert str(exc).startswith(prefix)
+        return "error", exc.line_no, str(exc)[len(prefix):]
+    return "ok", inst
+
+
+def _field(draw, value):
+    """A spelling of an integer field, or a token that is no integer."""
+    return draw(st.sampled_from([
+        str(value),
+        f"+{value}",
+        f"00{value}",
+        "_".join(str(value)) if abs(value) >= 10 else str(value),
+        str(value + 2**63),
+        str(-(2**64) - value),
+        "x", "1.5", "e", "v", "1__0", "0x1", "",
+    ]))
+
+
+@st.composite
+def mutated_texts(draw):
+    """A valid instance text after a few of the edits a hand-written file shows."""
+    inst = draw(interval_instances())
+    n = inst.graph.n
+    lines = write_instance(inst.graph, intervals=inst.intervals, legend=inst.legend).splitlines()
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))  # an insertion point
+        i = draw(st.integers(0, len(lines) - 1)) if lines else 0
+        edit = draw(st.sampled_from([
+            "blank", "before header", "second header", "swap", "drop", "duplicate",
+            "field", "extra field", "missing field", "spaces", "comment", "unknown tag",
+        ]))
+        if not lines:
+            break
+        if edit == "blank":
+            lines.insert(at, draw(st.sampled_from(["", " ", "\t", "\xa0"])))
+        elif edit == "before header":
+            lines.insert(0, lines[i])
+        elif edit == "second header":
+            lines.insert(at, draw(st.sampled_from(["p tdgs 2 1 1", f"p tdgs {n} 0 1", "p"])))
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "drop":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(at, lines[i])
+        elif edit == "field":
+            fields = lines[i].split(" ")
+            if len(fields) > 1:
+                k = draw(st.integers(1, len(fields) - 1))
+                value = draw(st.sampled_from([0, -1, 1, n, n + 1, 7, 10, 123]))
+                fields[k] = _field(draw, value)
+                lines[i] = " ".join(fields)
+        elif edit == "extra field":
+            lines[i] += " " + str(draw(st.integers(-2, n + 1)))
+        elif edit == "missing field":
+            lines[i] = lines[i].rsplit(" ", 1)[0]
+        elif edit == "spaces":
+            sep = draw(st.sampled_from(["\t", "  ", " \t", "\x1f", "\xa0", "　"]))
+            lead = draw(st.sampled_from(["", " ", "\t", "\xa0"]))
+            lines[i] = lead + lines[i].replace(" ", sep)
+        elif edit == "comment":
+            lines.insert(at, draw(st.sampled_from([
+                "#", "# free text", "# legend 1 X", "# legend 1 Y", "#legend 2 Z",
+                "# legend x W", "# legend +1 V", "# legend 1 A B", " # indented", "#p tdgs 1 0 1",
+            ])))
+        elif edit == "unknown tag":
+            lines.insert(at, draw(st.sampled_from(["q 1", "vx 1 1", "ee 1 2", "# ", "P tdgs 1 0 1", "é 1"])))
+    breaks = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r", "\x0c", "\x0b", "\x1c", "\x85", " "]),
+                           min_size=len(lines), max_size=len(lines)))
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_texts())
+def test_bulk_parse_matches_reference_parse(text):
+    ref = reference_parse(text)
+    got = _outcome(text)
+    if ref[0] == "error":
+        assert got == ref
+    else:
+        _, n, edges, colours, intervals, legend = ref
+        assert got == ("ok", Instance(build(n, edges, colours), intervals, legend))
+
+
+def test_parse_peak_memory_stays_near_the_line_loop():
+    # G(300, 1/2, 5): 22,641 lines, the size of the largest dense instances
+    text = write_instance(gen_gnpc(300, 0.5, 5, seed=7))
+
+    def peak(parse):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            parse(text)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(parse_instance) <= 1.5 * peak(reference_parse)
