@@ -7,7 +7,6 @@ re-solving exactly.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,9 +14,7 @@ from fractions import Fraction
 from . import graph as gc
 from .errors import NotAPathError, NotDominatingError
 from .exact import _greedy_cover, _lower_bound
-from .graph import ColouredGraph, degree_profile, path_order
-
-log = logging.getLogger(__name__)
+from .graph import ColouredGraph, path_order
 
 
 @dataclass(frozen=True)
@@ -37,8 +34,9 @@ def harmonic(k: int) -> Fraction:
 def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
     """Greedy set cover over U = V u C with sets F_v = N[v] u {c(v)}.
 
-    Since |F_v| <= Delta+2, the classical greedy guarantee gives the ratio
-    H(Delta+2). Ties are broken by smallest vertex id.
+    The classical greedy guarantee gives the ratio H(max |F_v|) =
+    H(Delta+2), read off the sets themselves. Ties are broken by smallest
+    vertex id.
     """
     # element bits: vertex v -> bit v-1, colour k -> bit n+k-1
     target = (1 << (g.n + g.c)) - 1
@@ -46,12 +44,11 @@ def greedy_setcover_tds(g: ColouredGraph) -> ApproxResult:
         g.closed_mask[v - 1] | (1 << (g.n + g.colour[v - 1] - 1)) for v in g.vertices
     ]
     chosen = [i + 1 for i in _greedy_cover(sets, target)]
-    big_delta = degree_profile(g).big_delta
     return ApproxResult(
         witness=frozenset(chosen),
         size=len(chosen),
         lower_bound=_lower_bound(g),
-        ratio_bound=harmonic(big_delta + 2),
+        ratio_bound=harmonic(max(f.bit_count() for f in sets)),
     )
 
 
@@ -79,68 +76,41 @@ def path_lower_bound(g: ColouredGraph) -> int:
 def path_five_thirds(g: ColouredGraph) -> ApproxResult:
     """5/3-approximation of tropical domination on paths.
 
-    Builds the three residue classes sigma_i = {v_j : j = i mod 3}, completes
-    each with one vertex per missing colour, repairing domination of the path
-    ends with endpoint representatives, and returns the smallest result.
+    Builds the three residue classes sigma_i = {v_j : j = i mod 3}. Each end
+    pair (1, 2) and (n, n-1) that sigma_i misses gets one repair vertex: the
+    end, unless its colour is already present and its neighbour's is missing,
+    in which case the neighbour. When both ends need a repair, n = 2 mod 3
+    and the end colours match, the front takes position 2 instead. Each
+    class is then completed with the first vertex of every missing colour,
+    and the smallest result is returned.
     """
     order = path_order(g)
     if order is None:
         raise NotAPathError("graph is not a simple path")
-    n, c = g.n, g.c
-    colour_at = [g.colour[order[p - 1] - 1] for p in range(1, n + 1)]  # by position
+    n = g.n
+    colour_at = [g.colour[v - 1] for v in order]  # by position
     first_pos: dict[int, int] = {}
-    for p in range(1, n + 1):
-        first_pos.setdefault(colour_at[p - 1], p)
+    for p, k in enumerate(colour_at, 1):
+        first_pos.setdefault(k, p)
 
     candidates = []
-    total_completion = 0
     for i in (1, 2, 3):
-        sigma = set(range(i, n + 1, 3))
-        missing = set(range(1, c + 1)) - {colour_at[p - 1] for p in sigma}
-        extra: set[int] = set()
-
-        front_needed = not sigma & {1, 2}
-        back_needed = n >= 2 and not sigma & {n - 1, n}
-        special = (
-            front_needed
-            and back_needed
-            and n % 3 == 2
-            and colour_at[0] == colour_at[n - 1]
+        s = set(range(i, n + 1, 3))
+        present = {colour_at[p - 1] for p in s}
+        front_swap = (
+            n % 3 == 2 and colour_at[0] == colour_at[-1] and not s & {1, 2, n - 1, n}
         )
-        if front_needed:
-            if special:
-                pick = 2
-            elif colour_at[0] in missing:
-                pick = 1
-            elif n >= 2 and colour_at[1] in missing:
-                pick = 2
-            else:
-                pick = 1
-            extra.add(pick)
-            missing.discard(colour_at[pick - 1])
-        if back_needed and not extra & {n - 1, n}:
-            if colour_at[n - 1] in missing:
-                pick = n
-            elif colour_at[n - 2] in missing:
-                pick = n - 1
-            else:
-                pick = n
-            extra.add(pick)
-            missing.discard(colour_at[pick - 1])
-        # each pick removed its own colour, so no first position is in extra
-        extra.update(first_pos[k] for k in missing)
-        s_i = sigma | extra
-        total_completion += len(extra)
-        candidates.append(s_i)
+        for end, nbr in ((1, 2), (n, n - 1)):
+            if not s & {end, nbr}:
+                to_nbr = (end == 1 and front_swap) or (
+                    colour_at[end - 1] in present and colour_at[nbr - 1] not in present
+                )
+                pick = nbr if to_nbr else end
+                s.add(pick)
+                present.add(colour_at[pick - 1])
+        s.update(p for k, p in first_pos.items() if k not in present)
+        candidates.append(s)
 
-    if total_completion > 2 * c:
-        log.warning(
-            "path repair used %d completion vertices (> 2c = %d) on n=%d c=%d",
-            total_completion,
-            2 * c,
-            n,
-            c,
-        )
     best = min(candidates, key=len)
     witness = frozenset(order[p - 1] for p in best)
     assert gc.is_dominating(g, witness) and gc.is_tropical(g, witness)

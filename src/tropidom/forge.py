@@ -55,6 +55,13 @@ class CnfFormula:
         return self.clauses[(i - 1) // 3][(i - 1) % 3]
 
 
+def _cnf_ints(fields, line_no: int, what: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise ParseError(line_no, f"{what} has a non-integer field") from None
+
+
 def parse_dimacs_cnf(text: str) -> CnfFormula:
     """DIMACS-CNF with exactly 3 literals per clause."""
     num_vars = None
@@ -68,12 +75,12 @@ def parse_dimacs_cnf(text: str) -> CnfFormula:
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise ParseError(line_no, "header must read 'p cnf <vars> <clauses>'")
-            num_vars, num_clauses = int(parts[2]), int(parts[3])
+            num_vars, num_clauses = _cnf_ints(parts[2:], line_no, "header")
             continue
         if num_vars is None:
             raise ParseError(line_no, "clause before 'p cnf' header")
-        nums = [int(x) for x in line.split()]
-        if not nums or nums[-1] != 0 or len(nums) != 4:
+        nums = _cnf_ints(line.split(), line_no, "clause line")
+        if len(nums) != 4 or nums[-1] != 0:
             raise ParseError(line_no, "clause lines hold 3 nonzero ints then 0")
         lits = []
         for x in nums[:-1]:
@@ -232,18 +239,13 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
         for i in range(1, X + 1)
     }
 
-    colours: list[int] = []
-    legend: dict[int, str] = {}
-    anchors: dict[str, int] = {}
-    next_colour = [0]
     BLACK = 1
-    legend[BLACK] = "B"
-    next_colour[0] = 1
+    legend = {BLACK: "B"}
 
     def fresh(label: str) -> int:
-        next_colour[0] += 1
-        legend[next_colour[0]] = label
-        return next_colour[0]
+        """A new colour, the next id after the legend's last."""
+        legend[len(legend) + 1] = label
+        return len(legend)
 
     clausal = {i: fresh(f"clausal{i}_0") for i in range(1, X + 1)}
     gadget_col = {
@@ -257,20 +259,16 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
     link_col = {pair: fresh(f"link{pair[0]}_{pair[1]}") for pair in link_pairs}
 
     # P0: v, v', v_0..v_{4 tau}
-    colours.append(BLACK)
-    anchors["v"] = 1
-    colours.append(BLACK)
-    anchors["v'"] = 2
-    pos = 2
+    colours = [BLACK, BLACK]
+    anchors = {"v": 1, "v'": 2}
     lit = 0
     for idx in range(0, 4 * f.tau + 1):
-        pos += 1
         if idx % 4 == 0:
             colours.append(fresh(f"sep{idx}"))
         else:
             lit += 1
             colours.append(clausal[lit])
-        anchors[f"v_{idx}"] = pos
+        anchors[f"v_{idx}"] = len(colours)
 
     for i in range(1, X + 1):
         for fidx, j in enumerate(antithetic[i], start=1):
@@ -289,7 +287,7 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
     edges = [(p, p + 1) for p in range(1, n)]
     path = build(n, edges, colours)
     return ReductionArtifact(
-        path=path, colour_legend=legend, anchors=anchors, meta={"kind": "sat", "X": X}
+        path=path, colour_legend=legend, anchors=anchors, meta={"kind": "sat"}
     )
 
 

@@ -141,16 +141,29 @@ def build(n: int, edges, colours) -> ColouredGraph:
 
 
 def is_dominating(g: ColouredGraph, s: Iterable[int]) -> bool:
-    """True iff every vertex is in s or adjacent to a member of s."""
+    """True iff every vertex is in s or adjacent to a member of s.
+
+    A set holding an id outside 1..n is not dominating.
+    """
     covered = 0
     for v in s:
+        if not 1 <= v <= g.n:
+            return False
         covered |= g.closed_mask[v - 1]
     return covered == g.full_mask
 
 
 def is_tropical(g: ColouredGraph, s: Iterable[int]) -> bool:
-    """True iff every colour 1..c appears on some vertex of s."""
-    return {g.colour[v - 1] for v in s} == set(range(1, g.c + 1))
+    """True iff every colour 1..c appears on some vertex of s.
+
+    A set holding an id outside 1..n is not tropical.
+    """
+    present = set()
+    for v in s:
+        if not 1 <= v <= g.n:
+            return False
+        present.add(g.colour[v - 1])
+    return len(present) == g.c
 
 
 def complete_colours(g: ColouredGraph, s: Iterable[int]) -> list[int]:

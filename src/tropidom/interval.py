@@ -57,11 +57,13 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
         raise RepresentationMismatchError(
             f"expected {g.n} intervals, got {len(intervals)}"
         )
-    pairs = [intervals[v] for v in g.vertices]
     for v in g.vertices:
-        lv, rv = pairs[v - 1]
+        if v not in intervals:
+            raise RepresentationMismatchError(f"vertex {v} has no interval")
+        lv, rv = intervals[v]
         if lv > rv:
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
+    pairs = [intervals[v] for v in g.vertices]
     # sweep by left endpoint: w after u has l_u <= l_w <= r_w, so it meets u
     # iff l_w <= r_u
     by_left = sorted(g.vertices, key=lambda v: pairs[v - 1][0])

@@ -249,10 +249,7 @@ class BoundsReport:
 
 def _minimal_edge_bound_k(n: int, m: int, c: int) -> int | None:
     for k in range(1, n - c + 2):
-        q = n - k + c - 1
-        if q < 0:
-            break
-        if m >= math.comb(q, 2) + (n - k):
+        if m >= math.comb(n - k + c - 1, 2) + (n - k):
             return k
     return None
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import product
 
@@ -72,6 +73,11 @@ class TestMdsPlusColours:
         g = path([1, 2, 1])
         with pytest.raises(NotDominatingError):
             mds_plus_colours(g, {1})
+        # ids outside 1..n dominate nothing
+        g = build(3, [(2, 3)], [1, 1, 2])
+        for bad in (0, 4):
+            with pytest.raises(NotDominatingError):
+                mds_plus_colours(g, [bad, 1])
 
     def test_completion(self):
         g = path([1, 2, 1])
@@ -145,3 +151,26 @@ class TestPathFiveThirds:
             assert res.size <= Fraction(5, 3) * exact.value
             for w in (dp.witness, res.witness):
                 assert is_dominating(g, w) and is_tropical(g, w)
+
+    def test_witnesses_pinned(self):
+        # sha256 of the sorted witnesses, one line per path: every surjective
+        # colouring with n <= 8 and c <= 3, then 2,000 seeded relabelled paths
+        lines = []
+        for n in range(1, 9):
+            for c in range(1, min(3, n) + 1):
+                for colours in surjective_colourings(n, c):
+                    lines.append(sorted(path_five_thirds(path(colours)).witness))
+        rng = np.random.default_rng(5335)
+        for _ in range(2000):
+            n = int(rng.integers(2, 15))
+            c = int(rng.integers(1, min(5, n) + 1))
+            ids = [int(v) + 1 for v in rng.permutation(n)]
+            colours = list(range(1, c + 1)) + (rng.integers(0, c, size=n - c) + 1).tolist()
+            rng.shuffle(colours)
+            g = build(n, [(ids[i], ids[i + 1]) for i in range(n - 1)], colours)
+            lines.append(sorted(path_five_thirds(g).witness))
+        text = "\n".join(",".join(map(str, w)) for w in lines)
+        assert len(lines) == 10836
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9bac70f68b3b6af37f5cbaa03076d1bc9fccb91e90e140a4c6f42a8d99ac9d93"
+        )

@@ -209,6 +209,16 @@ class TestGen:
         assert code == EXIT_OK
         assert parse_instance(out.read_text()).graph.m == 14
 
+    def test_sat_cnf_error_names_its_line(self, capsys, tmp_path):
+        # SATLIB files end with a "%" line
+        cnf = tmp_path / "f.cnf"
+        cnf.write_text("p cnf 2 1\n1 -2 2 0\n%\n0\n")
+        out = tmp_path / "sat.tdgs"
+        code, stdout, err = run(capsys, "gen", "sat", "--cnf", str(cnf), "--out", str(out))
+        assert (code, stdout) == (EXIT_INPUT, "")
+        assert err == "error: line 3: clause line has a non-integer field\n"
+        assert not out.exists()
+
     def test_sat_and_vc_and_pad(self, capsys, tmp_path):
         cnf = tmp_path / "f.cnf"
         cnf.write_text("p cnf 2 1\n1 -2 2 0\n")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -24,6 +25,7 @@ from tropidom import (
     rainbow_exists,
     sat_to_path,
     vc_to_path,
+    write_instance,
 )
 from tropidom.errors import (
     BadEpsilonError,
@@ -53,12 +55,18 @@ class TestCnf:
         assert f.literal(4) == (1, False)
 
     def test_parse_rejections(self):
-        with pytest.raises(ParseError):
-            parse_dimacs_cnf("1 2 3 0\n")
-        with pytest.raises(ParseError):
-            parse_dimacs_cnf("p cnf 3 1\n1 2 0\n")
-        with pytest.raises(ParseError):
-            parse_dimacs_cnf("p cnf 3 2\n1 2 3 0\n")
+        for text, message in (
+            ("1 2 3 0\n", "line 1: clause before 'p cnf' header"),
+            ("p cnf 3 1\n1 2 0\n", "line 2: clause lines hold 3 nonzero ints then 0"),
+            ("p cnf 3 2\n1 2 3 0\n", "line 1: header declares 2 clauses, got 1"),
+            ("p cnf 3 1\n1 2 x 0\n", "line 2: clause line has a non-integer field"),
+            # SATLIB files end with a "%" line
+            ("p cnf 3 1\n1 2 3 0\n%\n0\n", "line 3: clause line has a non-integer field"),
+            ("c x\np cnf x 1\n1 2 3 0\n", "line 2: header has a non-integer field"),
+        ):
+            with pytest.raises(ParseError) as exc:
+                parse_dimacs_cnf(text)
+            assert str(exc.value) == message
 
     def test_formula_validation(self):
         with pytest.raises(MalformedFormulaError):
@@ -166,18 +174,22 @@ class TestExtremal:
             extremal_edge_bound(7, 5, 2)  # pendant set larger than clique side
 
 
+# (y1 | !y2 | y3) & (!y1 | y2 | y3) & (!y1 | y3 | y4)
+FIXED_FORMULA = CnfFormula(
+    4,
+    (
+        ((1, True), (2, False), (3, True)),
+        ((1, False), (2, True), (3, True)),
+        ((1, False), (3, True), (4, True)),
+    ),
+)
+
+
 class TestSatReduction:
     def test_fixed_formula_shape(self):
-        # (y1 | !y2 | y3) & (!y1 | y2 | y3) & (!y1 | y3 | y4): six antithetic
-        # literal pairs, so the path is 15 + 6 * 5 + 1 = 46 vertices long
-        f = CnfFormula(
-            4,
-            (
-                ((1, True), (2, False), (3, True)),
-                ((1, False), (2, True), (3, True)),
-                ((1, False), (3, True), (4, True)),
-            ),
-        )
+        # six antithetic literal pairs, so the path is 15 + 6 * 5 + 1 = 46
+        # vertices long
+        f = FIXED_FORMULA
         art = sat_to_path(f)
         assert path_order(art.path) is not None
         assert art.path.n == 46
@@ -186,6 +198,22 @@ class TestSatReduction:
         assert gadgets == ["w_1_4", "w_1_7", "w_2_5", "w_4_1", "w_5_2", "w_7_1"]
         assert art.anchors["F"] == art.path.n
         assert rainbow_exists(art.path)[0] == brute_satisfiable(f) == True  # noqa: E712
+
+    def test_fixed_formula_instance_pinned(self):
+        art = sat_to_path(FIXED_FORMULA)
+        text = write_instance(art.path, legend=art.colour_legend)
+        assert len(text) == 1286
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e24a8508b9c7ce9b2e40da9fc1d9a8cde43be9c54d39eff10e0e23a50d9dda0c"
+        )
+        gadgets = ["w_1_4", "w_1_7", "w_2_5", "w_4_1", "w_5_2", "w_7_1"]
+        assert art.anchors == {
+            "v": 1,
+            "v'": 2,
+            **{f"v_{idx}": idx + 3 for idx in range(13)},
+            **dict(zip(gadgets, range(16, 46, 5))),
+            "F": 46,
+        }
 
     def test_equivalence_on_random_formulas(self):
         rng = np.random.default_rng(101)

@@ -135,6 +135,15 @@ class TestPredicates:
         assert not is_rainbow(g, {1, 2, 3})
         assert is_rainbow(k3(), {1, 2, 3})
 
+    def test_ids_outside_one_to_n_are_refused(self):
+        # without a range check, id 0 reads row -1, the row of vertex n
+        g = build(3, [(2, 3)], [1, 1, 2])
+        for bad in (0, 4, -1):
+            assert not is_dominating(g, [bad, 1])
+            assert not is_tropical(g, [bad, 1])
+            assert not is_rainbow(g, [bad, 1])
+        assert is_dominating(g, [3, 1]) and is_tropical(g, [3, 1])
+
     def test_full_vertex_set_always_tropical_dominating(self):
         for g in (p3(), k3()):
             assert is_dominating(g, g.vertices)

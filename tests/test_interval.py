@@ -109,6 +109,9 @@ class TestBuild:
         with pytest.raises(RepresentationMismatchError) as exc:
             build_interval_instance(build(2, [], [1, 1]), {1: (0, 10), 2: (5, -1)})
         assert str(exc.value) == "vertex 2: interval [5,-1] has l > r"
+        with pytest.raises(RepresentationMismatchError) as exc:
+            build_interval_instance(build(2, [], [1, 1]), {1: (0, 1), 5: (3, 4)})
+        assert str(exc.value) == "vertex 2 has no interval"
 
     def test_inverted_interval_rejected(self):
         # accepted unchecked, these intervals gave a DP value of 1 for two
