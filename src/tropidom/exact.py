@@ -53,18 +53,39 @@ def _greedy_cover(sets, target: int) -> list[int]:
 
     Returns the indices of the chosen sets; ties go to the smallest index.
     Shared by greedy_dominating and approx.greedy_setcover_tds.
+
+    Lazy (Minoux's accelerated greedy): gains only fall as elements get
+    covered, so a set's last counted gain bounds its current one. buckets[g]
+    is the bitmask of the set indices last counted at gain g. The lowest index
+    of the top bucket is recounted; if its gain still fills the bucket, no set
+    gains more and no lower index gains as much, so it is the pick a full
+    rescan makes. Otherwise it drops to the bucket of its new gain.
     """
+    buckets = [0] * (max(map(int.bit_count, sets), default=0) + 1)
+    bit = 1
+    for s in sets:
+        buckets[s.bit_count()] |= bit
+        bit <<= 1
+    top = len(buckets) - 1
     covered = 0
+    free = ~covered  # the bits a gain counts
     chosen = []
     while covered != target:
-        best_i, best_gain = None, 0
-        for i, s in enumerate(sets):
-            gain = (s & ~covered).bit_count()
-            if gain > best_gain:
-                best_i, best_gain = i, gain
-        assert best_i is not None, "set system fails to cover its universe"
-        chosen.append(best_i)
-        covered |= sets[best_i]
+        assert top, "set system fails to cover its universe"
+        b = buckets[top]
+        if not b:
+            top -= 1
+            continue
+        low = b & -b
+        buckets[top] = b ^ low
+        i = low.bit_length() - 1
+        gain = (sets[i] & free).bit_count()
+        if gain == top:
+            chosen.append(i)
+            covered |= sets[i]
+            free = ~covered
+        else:
+            buckets[gain] |= low
     return chosen
 
 

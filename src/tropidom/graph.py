@@ -53,6 +53,16 @@ class ColouredGraph:
         return (1 << self.n) - 1
 
     @cached_property
+    def _edge_array(self) -> np.ndarray:
+        """The edges as a read-only (m, 2) int64 array, row for row.
+
+        ``build`` seeds it with the array it has already sorted and checked.
+        """
+        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
+        e.flags.writeable = False
+        return e
+
+    @cached_property
     def adj_mask(self) -> tuple[int, ...]:
         """adj_mask[v-1] = bitmask of the open neighbourhood N(v)."""
         masks = [0] * self.n
@@ -99,7 +109,8 @@ def build(n: int, edges, colours) -> ColouredGraph:
     edges is a list of pairs or an (m, 2) integer array. Invalid edges raise
     for the first offending edge in input order: an endpoint outside 1..n,
     then a self-loop, then a repeat of an earlier edge in either orientation.
-    The stored edges are (lo, hi) pairs of ints in lexicographic order.
+    The stored edges are (lo, hi) pairs of ints in lexicographic order, and
+    the graph keeps them as an (m, 2) array too.
     """
     if n < 1:
         raise OutOfRangeError("n must be at least 1")
@@ -136,8 +147,13 @@ def build(n: int, edges, colours) -> ColouredGraph:
     for k in range(1, c + 1):
         if k not in used:
             raise ColourGapError(f"colour {k} unused (colours must cover 1..{c})")
-    norm = tuple(zip(lo[order].tolist(), hi[order].tolist()))
-    return ColouredGraph(n=n, edges=norm, colour=tuple(colours), c=c)
+    lo, hi = lo[order], hi[order]
+    g = ColouredGraph(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), colour=tuple(colours), c=c)
+    e = np.empty((len(lo), 2), dtype=np.int64)
+    e[:, 0], e[:, 1] = lo, hi
+    e.flags.writeable = False
+    vars(g)["_edge_array"] = e
+    return g
 
 
 def is_dominating(g: ColouredGraph, s: Iterable[int]) -> bool:
@@ -187,10 +203,8 @@ def is_rainbow(g: ColouredGraph, s) -> bool:
 
 
 def degree_profile(g: ColouredGraph) -> DegreeProfile:
-    degrees = [0] * g.n
-    for u, v in g.edges:
-        degrees[u - 1] += 1
-        degrees[v - 1] += 1
+    """Minimum and maximum degree, counted from the edge array."""
+    degrees = np.bincount(g._edge_array.ravel(), minlength=g.n + 1)[1:].tolist()
     return DegreeProfile(delta=min(degrees), big_delta=max(degrees))
 
 

@@ -20,6 +20,10 @@ lines once, groups the lines by record tag, converts each record kind's
 integer fields with one numpy call and runs every check as a whole-array
 comparison. When a check fails, the first failing record of each kind is
 found from its mask, and the earliest of those lines is reported.
+
+The writer gives the canonical text: legend comments, the header, v lines in
+id order, then the e lines in the sorted order build stores, formatted by one
+%-call from the (m, 2) edge array the graph keeps, then any i lines by id.
 """
 
 from __future__ import annotations
@@ -247,7 +251,8 @@ def write_instance(
         lines.append(f"# legend {k} {legend[k]}")
     lines.append(f"p tdgs {g.n} {g.m} {g.c}")
     lines.extend(f"v {v} {g.colour[v - 1]}" for v in g.vertices)
-    lines.extend(f"e {u} {v}" for u, v in g.edges)  # build stores them sorted
-    if intervals:
-        lines.extend(f"i {v} {intervals[v][0]} {intervals[v][1]}" for v in sorted(intervals))
-    return "\n".join(lines) + "\n"
+    edge_lines = ("e %d %d\n" * g.m) % tuple(g._edge_array.ravel().tolist())
+    interval_lines = "".join(
+        f"i {v} {intervals[v][0]} {intervals[v][1]}\n" for v in sorted(intervals or {})
+    )
+    return "\n".join(lines) + "\n" + edge_lines + interval_lines

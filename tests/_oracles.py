@@ -171,6 +171,26 @@ def gnpc_reference(n, p, c, seed):
             return edges, colours
 
 
+def reference_greedy_cover(sets, target):
+    """Greedy max-coverage by a full rescan of every set's gain on each pick.
+
+    Returns the indices of the chosen sets; ties go to the smallest index.
+    Raises AssertionError when no set gains anything before target is covered.
+    """
+    covered = 0
+    chosen = []
+    while covered != target:
+        best_i, best_gain = None, 0
+        for i, s in enumerate(sets):
+            gain = (s & ~covered).bit_count()
+            if gain > best_gain:
+                best_i, best_gain = i, gain
+        assert best_i is not None, "set system fails to cover its universe"
+        chosen.append(best_i)
+        covered |= sets[best_i]
+    return chosen
+
+
 def reference_edge_check(n, edges):
     """The error a valid-graph builder owes an edge list, by one plain loop.
 

@@ -4,12 +4,15 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from _oracles import brute_gamma_t, random_coloured_graph
+from _oracles import brute_gamma_t, closed_neighbourhoods, random_coloured_graph, reference_greedy_cover
 from tropidom import (
     build,
     gamma,
     gamma_t,
+    gen_gnpc,
     greedy_setcover_tds,
     is_dominating,
     is_tropical,
@@ -18,6 +21,7 @@ from tropidom import (
     path_lower_bound,
 )
 from tropidom.approx import harmonic
+from tropidom.exact import _greedy_cover, greedy_dominating
 from tropidom.interval import build_interval_instance, tdn_interval
 from tropidom.errors import NotAPathError, NotDominatingError
 
@@ -66,6 +70,81 @@ class TestGreedy:
             gt = gamma_t(g).value
             assert res.lower_bound <= gt
             assert res.size <= res.ratio_bound * gt
+
+    def test_matches_full_rescan_on_gnpc_and_a_long_path(self):
+        rng = np.random.default_rng(1978)
+        graphs = []
+        for i, n in enumerate((20, 60, 150, 300, 450, 600)):
+            for p in (10 / (n - 1), 0.1, 0.5):
+                graphs.append(gen_gnpc(n, p, int(rng.integers(1, 9)), [1978, i]))
+        n = 2548
+        colours = list(range(1, 15)) + (rng.integers(0, 14, size=n - 14) + 1).tolist()
+        graphs.append(build(n, [(i, i + 1) for i in range(1, n)], colours))
+        for g in graphs:
+            closed = [sum(1 << (u - 1) for u in nbrs) for nbrs in closed_neighbourhoods(g.n, g.edges)]
+            want = [v + 1 for v in reference_greedy_cover(closed, (1 << g.n) - 1)]
+            assert greedy_dominating(g) == want
+            sets = [m | (1 << (g.n + k - 1)) for m, k in zip(closed, g.colour)]
+            want = [v + 1 for v in reference_greedy_cover(sets, (1 << (g.n + g.c)) - 1)]
+            res = greedy_setcover_tds(g)
+            assert res.witness == frozenset(want) and res.size == len(want)
+
+    def test_witnesses_pinned(self):
+        # sha256 of the sorted greedy_setcover_tds and greedy_dominating
+        # witnesses, one line each: 200 seeded G(n, p, c) with n 20..600, then
+        # 50 seeded relabelled paths
+        rng = np.random.default_rng(1979)
+        graphs = []
+        for i in range(200):
+            n = int(rng.integers(20, 601))
+            p = (10 / (n - 1), 20 / (n - 1), 0.05, 0.2)[i % 4]
+            graphs.append(gen_gnpc(n, p, int(rng.integers(1, min(12, n) + 1)), [1979, i]))
+        for _ in range(50):
+            n = int(rng.integers(2, 301))
+            c = int(rng.integers(1, min(8, n) + 1))
+            ids = [int(v) + 1 for v in rng.permutation(n)]
+            colours = list(range(1, c + 1)) + (rng.integers(0, c, size=n - c) + 1).tolist()
+            rng.shuffle(colours)
+            graphs.append(build(n, [(ids[i], ids[i + 1]) for i in range(n - 1)], colours))
+        lines = []
+        for g in graphs:
+            lines.append(sorted(greedy_setcover_tds(g).witness))
+            lines.append(sorted(greedy_dominating(g)))
+        text = "\n".join(",".join(map(str, w)) for w in lines)
+        assert len(lines) == 500
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "9c0ec377192c20e5d062c3d50598d7bf98453740d679415afbe03d8417aad833"
+        )
+
+
+@st.composite
+def set_systems(draw):
+    """Bitmask sets and the union of them as target; some sets repeat others
+    (pure ties), and some targets hold a bit that no set covers."""
+    width = draw(st.integers(1, 70))
+    sets = draw(st.lists(st.integers(0, (1 << width) - 1), max_size=30))
+    if sets and draw(st.booleans()):
+        sets = draw(st.permutations(sets + draw(st.lists(st.sampled_from(sets), min_size=1, max_size=10))))
+    target = 0
+    for s in sets:
+        target |= s
+    if draw(st.booleans()):
+        target |= 1 << width
+    return sets, target
+
+
+def _outcome(cover, sets, target):
+    try:
+        return cover(sets, target)
+    except AssertionError:
+        return "uncoverable"
+
+
+@settings(max_examples=500, deadline=None)
+@given(set_systems())
+def test_lazy_cover_matches_full_rescan(system):
+    sets, target = system
+    assert _outcome(_greedy_cover, sets, target) == _outcome(reference_greedy_cover, sets, target)
 
 
 class TestMdsPlusColours:

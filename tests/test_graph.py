@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from _oracles import brute_is_dominating, closed_neighbourhoods, random_coloured_graph, reference_edge_check
 from tropidom import (
+    ColouredGraph,
     build,
     degree_profile,
     gen_gnpc,
@@ -163,6 +166,10 @@ class TestDegreeAndConnectivity:
         prof = degree_profile(build(1, [], [1]))
         assert prof.delta == prof.big_delta == 0
 
+    def test_isolated_vertex_profile(self):
+        prof = degree_profile(build(4, [(1, 2), (1, 3)], [1, 1, 1, 1]))
+        assert (prof.delta, prof.big_delta) == (0, 2)
+
     def test_connectivity(self):
         assert is_connected(p3())
         assert not is_connected(build(3, [(1, 2)], [1, 1, 1]))
@@ -221,6 +228,48 @@ class TestMasks:
         assert (h.n, h.edges, h.colour, h.c) == (3, g.edges, (1, 1, 1), 1)
         assert h.adj_mask is g.adj_mask and h.closed_mask is g.closed_mask
         assert h.colour_mask == (0b111,) and g.colour_mask == (0b101, 0b010)
+
+
+class TestEdgeArray:
+    def test_build_keeps_the_sorted_edges(self):
+        cases = [
+            build(4, [(3, 1), (2, 1), (4, 3)], [1, 2, 1, 2]),
+            build(4, np.array([[3, 1], [2, 1], [4, 3]]), [1, 2, 1, 2]),
+            build(3, [], [1, 2, 1]),
+            build(3, np.zeros((0, 2), dtype=np.int64), [1, 2, 1]),
+            gen_gnpc(40, 0.2, 3, 11),
+        ]
+        for g in cases:
+            want = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
+            assert g._edge_array.dtype == np.int64 and np.array_equal(g._edge_array, want)
+            assert not g._edge_array.flags.writeable
+
+    def test_copies_derive_the_same_array(self):
+        rng = np.random.default_rng(23)
+        graphs = [build(1, [], [1]), build(5, [(1, 2), (1, 3)], [1, 2, 3, 1, 2])]
+        graphs += [gen_gnpc(int(rng.integers(2, 60)), 0.15, 2, [23, i]) for i in range(20)]
+        for g in graphs:
+            want = (degree_profile(g), write_instance(g))
+            copies = [
+                dataclasses.replace(g),
+                ColouredGraph(n=g.n, edges=g.edges, colour=g.colour, c=g.c),
+                g.one_coloured(),
+                dataclasses.replace(g).one_coloured(),
+            ]
+            for h in copies:
+                assert np.array_equal(h._edge_array, g._edge_array)
+                assert degree_profile(h) == want[0]
+            for h in copies[:2]:
+                assert write_instance(h) == want[1]
+            one = copies[2]
+            assert write_instance(copies[3]) == write_instance(one)
+            assert write_instance(one) == write_instance(build(g.n, list(g.edges), [1] * g.n))
+
+    def test_direct_construction_keeps_edge_order(self):
+        # a graph made without build is written as its edges read
+        g = ColouredGraph(n=3, edges=((2, 3), (1, 2)), colour=(1, 2, 1), c=2)
+        assert write_instance(g) == "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 2 3\ne 1 2\n"
+        assert degree_profile(g).big_delta == 2
 
 
 @settings(max_examples=60, deadline=None)
