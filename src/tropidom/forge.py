@@ -16,6 +16,7 @@ from .errors import (
     BadEpsilonError,
     BadParametersError,
     EmptyGraphError,
+    GraphBuildError,
     HasIsolatedVertexError,
     MalformedFormulaError,
     NotAPathError,
@@ -103,20 +104,16 @@ class SubcubicGraph:
     def __post_init__(self):
         if self.n < 1 or not self.edges:
             raise EmptyGraphError("need at least one edge")
-        deg = [0] * (self.n + 1)
-        seen = set()
-        for u, v in self.edges:
-            if not (1 <= u <= self.n and 1 <= v <= self.n) or u == v:
-                raise BadParametersError(f"bad edge ({u},{v})")
-            e = (min(u, v), max(u, v))
-            if e in seen:
-                raise BadParametersError(f"duplicate edge {e}")
-            seen.add(e)
-            deg[u] += 1
-            deg[v] += 1
-        if max(deg[1:]) > 3:
+        # m edges touch at most 2m vertices: refuse before sizing anything by n
+        if self.n > 2 * len(self.edges):
+            raise HasIsolatedVertexError("isolated vertex present")
+        try:
+            profile = gc.degree_profile(build(self.n, self.edges, [1] * self.n))
+        except GraphBuildError as exc:
+            raise BadParametersError(str(exc)) from exc
+        if profile.big_delta > 3:
             raise NotSubcubicError("maximum degree exceeds 3")
-        if min(deg[1:]) == 0:
+        if profile.delta == 0:
             raise HasIsolatedVertexError("isolated vertex present")
 
     def min_vertex_cover(self) -> int:
@@ -140,6 +137,14 @@ class ReductionArtifact:
     colour_legend: dict[int, str]
     anchors: dict[str, int] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
+
+
+def _path_artifact(colours, legend, anchors, meta) -> ReductionArtifact:
+    """Lay colours on the path 1-2-...-n and wrap it as a ReductionArtifact."""
+    n = len(colours)
+    left = np.arange(1, n, dtype=np.int64)
+    path = build(n, np.column_stack((left, left + 1)), colours)
+    return ReductionArtifact(path=path, colour_legend=legend, anchors=anchors, meta=meta)
 
 
 # gen_gnpc draws its pair coins this many at a time. numpy's generator gives
@@ -233,11 +238,11 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
     if f.tau < 1:
         raise MalformedFormulaError("formula needs at least one clause")
     X = f.X
-    lits = [f.literal(i) for i in range(1, X + 1)]
-    antithetic = {
-        i: [j for j in range(1, X + 1) if lits[j - 1] == (lits[i - 1][0], not lits[i - 1][1])]
-        for i in range(1, X + 1)
-    }
+    lits = [lit for clause in f.clauses for lit in clause]
+    positions = {}  # literal -> its indices 1..X, ascending
+    for i, lit in enumerate(lits, start=1):
+        positions.setdefault(lit, []).append(i)
+    antithetic = {i: positions.get((var, not pol), []) for i, (var, pol) in enumerate(lits, start=1)}
 
     BLACK = 1
     legend = {BLACK: "B"}
@@ -253,10 +258,10 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
         for i in range(1, X + 1)
         for fidx in range(1, len(antithetic[i]) + 1)
     }
-    link_pairs = sorted(
-        {(min(i, j), max(i, j)) for i in range(1, X + 1) for j in antithetic[i]}
-    )
-    link_col = {pair: fresh(f"link{pair[0]}_{pair[1]}") for pair in link_pairs}
+    # antithetic lists are ascending and symmetric, so this runs in (i, j) order
+    link_col = {
+        (i, j): fresh(f"link{i}_{j}") for i in range(1, X + 1) for j in antithetic[i] if i < j
+    }
 
     # P0: v, v', v_0..v_{4 tau}
     colours = [BLACK, BLACK]
@@ -282,13 +287,7 @@ def sat_to_path(f: CnfFormula) -> ReductionArtifact:
 
     colours.append(fresh("F"))
     anchors["F"] = len(colours)
-
-    n = len(colours)
-    edges = [(p, p + 1) for p in range(1, n)]
-    path = build(n, edges, colours)
-    return ReductionArtifact(
-        path=path, colour_legend=legend, anchors=anchors, meta={"kind": "sat"}
-    )
+    return _path_artifact(colours, legend, anchors, {"kind": "sat"})
 
 
 def vc_to_path(g: SubcubicGraph) -> ReductionArtifact:
@@ -296,44 +295,25 @@ def vc_to_path(g: SubcubicGraph) -> ReductionArtifact:
     m+n+1 colours, satisfying opt_VC(G) = gamma^t(path) - 1 - 3n.
     """
     n, m = g.n, len(g.edges)
-    edge_index = {e: i for i, e in enumerate(sorted((min(u, v), max(u, v)) for u, v in g.edges), start=1)}
-    incident = {j: sorted(i for e, i in edge_index.items() if j in e) for j in range(1, n + 1)}
-
     BLACK = 1
+    # edge i (1-based, in sorted order) has colour 1 + i, vertex j colour 1 + m + j
     legend = {BLACK: "B"}
-    for e, i in sorted(edge_index.items(), key=lambda kv: kv[1]):
-        legend[1 + i] = f"E{i}"
-    for j in range(1, n + 1):
-        legend[1 + m + j] = f"S{j}"
-
-    def e_col(i):
-        return 1 + i
-
-    def s_col(j):
-        return 1 + m + j
+    legend.update((1 + i, f"E{i}") for i in range(1, m + 1))
+    legend.update((1 + m + j, f"S{j}") for j in range(1, n + 1))
+    slots = [[] for _ in range(n + 1)]  # slots[j]: colours of j's edges, ascending
+    for colour, (u, v) in enumerate(sorted((min(u, v), max(u, v)) for u, v in g.edges), start=2):
+        slots[u].append(colour)
+        slots[v].append(colour)
 
     colours = [BLACK, BLACK, BLACK]  # V_0
     anchors = {"V_0": 1}
     for j in range(1, n + 1):
-        inc = incident[j]
-        slots = [e_col(inc[0]) if len(inc) >= 1 else BLACK,
-                 e_col(inc[1]) if len(inc) >= 2 else BLACK,
-                 e_col(inc[2]) if len(inc) >= 3 else BLACK]
+        a, b, c = slots[j] + [BLACK] * (3 - len(slots[j]))
         anchors[f"block_{j}"] = len(colours) + 1
-        colours += [slots[0], BLACK, slots[1], BLACK, BLACK, slots[2]]
+        colours += [a, BLACK, b, BLACK, BLACK, c]
         anchors[f"V_{j}"] = len(colours) + 1
-        colours += [BLACK, s_col(j), BLACK]
-
-    path_n = len(colours)
-    assert path_n == 9 * n + 3
-    edges = [(p, p + 1) for p in range(1, path_n)]
-    path = build(path_n, edges, colours)
-    return ReductionArtifact(
-        path=path,
-        colour_legend=legend,
-        anchors=anchors,
-        meta={"kind": "vc", "n": n},
-    )
+        colours += [BLACK, 1 + m + j, BLACK]
+    return _path_artifact(colours, legend, anchors, {"kind": "vc", "n": n})
 
 
 def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:

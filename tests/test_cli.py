@@ -257,6 +257,8 @@ class TestGen:
         ("# no edges\n\n", "need at least one edge"),
         ("1 2\n2 3 4\n", "line 2: edge line needs 2 fields, got 3"),
         ("1 2\n# c\n2 x\n", "line 3: edge line has a non-integer field"),
+        # n is the largest endpoint, far beyond what a degree table could hold
+        ("1 99999999999999999999999\n", "isolated vertex present"),
     ])
     def test_vc_edge_list_errors(self, capsys, tmp_path, text, message):
         edges = tmp_path / "g.edges"

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -91,6 +92,27 @@ class TestSubcubic:
             SubcubicGraph(3, ((1, 2),))
         with pytest.raises(BadParametersError):
             SubcubicGraph(2, ((1, 2), (2, 1)))
+
+    def test_isolated_vertex_refused_before_allocating(self):
+        # n > 2m: some vertex has no edge, whatever the edges are
+        tracemalloc.start()
+        try:
+            with pytest.raises(HasIsolatedVertexError, match="isolated vertex present"):
+                SubcubicGraph(2**70, ((1, 2),))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n, edges, message", [
+        (3, ((1, 2**70), (2, 3)), "edge (1,1180591620717411303424) has endpoint outside 1..3"),
+        (3, ((1, 2), (2, 2)), "self-loop at vertex 2"),
+        (2, ((1, 2), (2, 1)), "duplicate edge (1,2)"),
+    ])
+    def test_edge_errors_carry_build_messages(self, n, edges, message):
+        with pytest.raises(BadParametersError) as exc:
+            SubcubicGraph(n, edges)
+        assert str(exc.value) == message
 
     def test_min_vertex_cover(self):
         assert SubcubicGraph(2, ((1, 2),)).min_vertex_cover() == 1
@@ -312,6 +334,86 @@ class TestVcReduction:
             sets += [s | set(rng.integers(1, g.n + 1, size=k).tolist()) for s in sets for k in (2, 5)]
             covers.append(["".join(map(str, sorted(extract_vc(art, s)))) for s in sets])
         assert covers == self.PINNED_COVERS
+
+
+def _pin_formulas():
+    """300 seeded 3-CNF formulas with 1..40 variables and 1..60 clauses.
+
+    Every third formula draws about a third of its literals from up to three
+    hot variables, in both polarities; about one literal in seven repeats the
+    one before it in its clause.
+    """
+    rng = np.random.default_rng(151)
+    for k in range(300):
+        nv = int(rng.integers(1, 41))
+        tau = int(rng.integers(1, 61))
+        hot = rng.integers(1, nv + 1, size=min(nv, 3))
+        clauses = []
+        for _ in range(tau):
+            cl = []
+            for _ in range(3):
+                r = rng.random()
+                if r < 0.15 and cl:
+                    cl.append(cl[-1])
+                elif r < 0.45 and k % 3 == 0:
+                    cl.append((int(rng.choice(hot)), bool(rng.integers(0, 2))))
+                else:
+                    cl.append((int(rng.integers(1, nv + 1)), bool(rng.integers(0, 2))))
+            clauses.append(tuple(cl))
+        yield CnfFormula(nv, tuple(clauses))
+
+
+def _pin_subcubic_graphs():
+    """300 seeded subcubic graphs with n in 2..30, edges unsorted and each
+    pair given in a random orientation."""
+    rng = np.random.default_rng(157)
+    made = 0
+    while made < 300:
+        n = int(rng.integers(2, 31))
+        pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+        deg = [0] * (n + 1)
+        edges = []
+        m = int(rng.integers(n // 2, 3 * n // 2 + 1))
+        for k in rng.permutation(len(pairs)):
+            u, v = pairs[k]
+            if deg[u] < 3 and deg[v] < 3 and len(edges) < m:
+                edges.append((v, u) if rng.random() < 0.5 else (u, v))
+                deg[u] += 1
+                deg[v] += 1
+        try:
+            sg = SubcubicGraph(n, tuple(edges))
+        except (HasIsolatedVertexError, NotSubcubicError):
+            continue
+        made += 1
+        yield sg
+
+
+class TestReductionsPinned:
+    """SHA-256 over the instance text, anchors and meta of every artifact."""
+
+    @staticmethod
+    def _digest(artifacts):
+        h = hashlib.sha256()
+        for art in artifacts:
+            h.update(write_instance(art.path, legend=art.colour_legend).encode())
+            h.update(json.dumps([art.anchors, art.meta]).encode())
+        return h.hexdigest()
+
+    def test_sat_to_path_pinned(self):
+        assert self._digest(map(sat_to_path, _pin_formulas())) == (
+            "268ca7c770ede68d426dcb708b0133042c9ad734e19d868c419c162fc4916959"
+        )
+
+    def test_vc_to_path_pinned(self):
+        graphs = list(_pin_subcubic_graphs())
+        degrees = set()
+        for sg in graphs:
+            degrees |= set(np.bincount(np.ravel(sg.edges), minlength=sg.n + 1)[1:].tolist())
+        assert degrees == {1, 2, 3}
+        assert {sg.n for sg in graphs} >= {2, 30}
+        assert self._digest(map(vc_to_path, graphs)) == (
+            "439f37611adb06219b4480b1b43c539c1ae6a0f77c2a2a599f11029c7a7eea76"
+        )
 
 
 class TestPadColours:
