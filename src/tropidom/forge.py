@@ -51,10 +51,6 @@ class CnfFormula:
     def X(self) -> int:
         return 3 * self.tau
 
-    def literal(self, i: int) -> tuple[int, bool]:
-        """The i-th literal (1-indexed) in reading order."""
-        return self.clauses[(i - 1) // 3][(i - 1) % 3]
-
 
 def _cnf_ints(fields, line_no: int, what: str) -> list[int]:
     try:

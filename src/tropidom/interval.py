@@ -1,19 +1,20 @@
 """Fixed-parameter algorithm for tropical domination on interval graphs.
 
 Vertices are reordered non-decreasingly by right endpoint (ties by vertex
-id). The representation is checked against the graph by a sweep over left
-endpoints in O(n log n + m). The table f(S, i) holds the least size of a
-proper i-prefix dominating set covering exactly the colour subset S; it is
-stored row-contiguously, one row of all 2^c subsets per position i, in the
-smallest unsigned integer dtype that holds 2n + c + 1, and each row is filled
-by numpy from the rows of the admissible predecessors P_i, so the fill is
-O(2^c * sum |P_i|), in the worst case O(2^c n^2). The P_i come from one
-vectorised test over windows of candidate positions.
+id). In that order position i meets exactly the earlier positions a_i..i-1,
+where a_i is the least position whose right endpoint reaches l_i; the
+representation is checked against the graph by that rule in O(n log n + m).
+The table f(S, i) holds the least size of a proper i-prefix dominating set
+covering exactly the colour subset S; it is stored row-contiguously, one row
+of all 2^c subsets per position i, in the smallest unsigned integer dtype that
+holds 2n + c + 1, and each row is filled by numpy from the rows of the
+admissible predecessors P_i, so the fill is O(2^c * sum |P_i|), in the worst
+case O(2^c n^2). The P_i come from one vectorised test over windows of
+candidate positions.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -64,28 +65,31 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
         if lv > rv:
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
     pairs = [intervals[v] for v in g.vertices]
-    # sweep by left endpoint: w after u has l_u <= l_w <= r_w, so it meets u
-    # iff l_w <= r_u
-    by_left = sorted(g.vertices, key=lambda v: pairs[v - 1][0])
-    lefts = [pairs[v - 1][0] for v in by_left]
-    meets = set()
-    for k, u in enumerate(by_left):
-        for w in by_left[k + 1 : bisect_right(lefts, pairs[u - 1][1])]:
-            meets.add((u, w) if u < w else (w, u))
-    edge_set = set(g.edges)
-    if meets != edge_set:
-        u, v = min(meets ^ edge_set)  # the first differing pair in (u, v) order
-        meet = (u, v) in meets
+    n, ends = g.n, np.array(pairs)
+    order = np.argsort(ends[:, 1], kind="stable")  # by (r, id)
+    # with r sorted and l <= r, position i meets exactly the positions a_i..i-1
+    # before it, the rule _prefix_arrays uses
+    a = np.searchsorted(ends[order, 1], ends[order, 0])
+    count = np.arange(n) - a
+    i = np.repeat(np.arange(n), count)
+    j = i + np.arange(len(i)) - np.repeat(np.cumsum(count), count)
+    u, w = order[j] + 1, order[i] + 1
+    meets = np.sort(np.minimum(u, w) * (n + 1) + np.maximum(u, w))
+    edges = np.sort(g._edge_array @ [n + 1, 1])
+    if not np.array_equal(meets, edges):
+        first = np.setxor1d(meets, edges)[0]  # the least differing (u, v)
+        u, v = divmod(int(first), n + 1)
+        meet = first in meets
         raise RepresentationMismatchError(
             f"pair ({u},{v}): intervals {'meet' if meet else 'miss'} "
             f"but edge is {'absent' if meet else 'present'}"
         )
-    order = sorted(g.vertices, key=lambda v: (pairs[v - 1][1], v))
+    order = order.tolist()
     return IntervalInstance(
         graph=g,
-        order=tuple(order),
-        l=tuple(pairs[v - 1][0] for v in order),
-        r=tuple(pairs[v - 1][1] for v in order),
+        order=tuple(v + 1 for v in order),
+        l=tuple(pairs[k][0] for k in order),
+        r=tuple(pairs[k][1] for k in order),
     )
 
 

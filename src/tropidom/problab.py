@@ -12,7 +12,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
 
 from . import exact, forge
@@ -78,6 +77,8 @@ class ExperimentReport:
 
 def expected_rainbow_count(model: RandomModel) -> float:
     """E(X_c) = C(n,c) (1-(1-p)^c)^(n-c) c!/c^c, evaluated in high precision."""
+    import mpmath
+
     n, p, c = model.n, model.p, model.c
     if not 1 <= c <= n:
         raise BadParametersError(f"need 1 <= c <= n, got c={c} n={n}")
@@ -258,48 +259,34 @@ def audit_bounds(g: ColouredGraph, gt: int, gamma_val: int) -> BoundsReport:
     """Evaluate every applicable upper-bound statement at the supplied exact
     values gt = gamma^t(g) and gamma_val = gamma(g)."""
     n, m, c = g.n, g.m, g.c
-    prof = degree_profile(g)
-    delta = prof.delta
+    delta = degree_profile(g).delta
     connected = is_connected(g)
-    entries = []
-
-    # (i) delta >= n - c  =>  gamma^t = c
-    app = delta >= n - c
-    entries.append(BoundEntry("i", app, gt, c, (not app) or gt == c, app and gt == c))
-
-    # (ii) gamma^t <= gamma + c - 1
-    rhs = gamma_val + c - 1
-    entries.append(BoundEntry("ii", True, gt, rhs, gt <= rhs, gt == rhs))
-
-    # (iii) minimal k with m >= C(n-k+c-1, 2) + n - k and n > k + c - 2
     k = _minimal_edge_bound_k(n, m, c)
-    app = k is not None
-    entries.append(
-        BoundEntry("iii", app, gt, k, (not app) or gt <= k, app and gt == k)
+    rhs_ii = gamma_val + c - 1
+    rhs_iv = (n + c - 1) / 2
+    rhs_v = (1 + math.log(delta + 1)) / (delta + 1) * (n - c + 1) + c - 1
+    rhs_vi = (n - c) * delta / (3 * delta - 1) + c + delta * (delta - 2) / (3 * delta - 1)
+    # (id, applies, rhs, holds where it applies, can be tight)
+    rows = (
+        # (i) delta >= n - c  =>  gamma^t = c
+        ("i", delta >= n - c, c, gt == c, True),
+        # (ii) gamma^t <= gamma + c - 1
+        ("ii", True, rhs_ii, gt <= rhs_ii, True),
+        # (iii) minimal k with m >= C(n-k+c-1, 2) + n - k and n > k + c - 2
+        ("iii", k is not None, k, k is not None and gt <= k, True),
+        # (iv) connected and n > c  =>  gamma^t <= (n + c - 1) / 2
+        ("iv", connected and n > c, rhs_iv, gt <= rhs_iv, True),
+        # (v) connected  =>  gamma^t = c or gamma^t < (1+ln(d+1))/(d+1) (n-c+1) + c - 1
+        ("v", connected, rhs_v, gt == c or gt < rhs_v, False),
+        # (vi) connected, 2 <= delta <= 8, c < n
+        ("vi", connected and 2 <= delta <= 8 and c < n, rhs_vi, gt <= rhs_vi, False),
+        # (vii) super-dense: delta > (n-1) - sqrt(n-1)  =>  gamma^t <= c + 1
+        ("vii", delta > (n - 1) - math.sqrt(n - 1), c + 1, gt <= c + 1, True),
     )
-
-    # (iv) connected and n > c  =>  gamma^t <= (n + c - 1) / 2
-    app = connected and n > c
-    rhs = (n + c - 1) / 2
-    entries.append(BoundEntry("iv", app, gt, rhs, (not app) or gt <= rhs, app and gt == rhs))
-
-    # (v) connected  =>  gamma^t = c or gamma^t < (1+ln(d+1))/(d+1) (n-c+1) + c - 1
-    app = connected
-    rhs = (1 + math.log(delta + 1)) / (delta + 1) * (n - c + 1) + c - 1
-    ok = (not app) or gt == c or gt < rhs
-    entries.append(BoundEntry("v", app, gt, rhs, ok))
-
-    # (vi) connected, 2 <= delta <= 8, c < n
-    app = connected and 2 <= delta <= 8 and c < n
-    rhs = (n - c) * delta / (3 * delta - 1) + c + delta * (delta - 2) / (3 * delta - 1)
-    entries.append(BoundEntry("vi", app, gt, rhs, (not app) or gt <= rhs))
-
-    # (vii) super-dense: delta > (n-1) - sqrt(n-1)  =>  gamma^t <= c + 1
-    app = delta > (n - 1) - math.sqrt(n - 1)
-    entries.append(
-        BoundEntry("vii", app, gt, c + 1, (not app) or gt <= c + 1, app and gt == c + 1)
-    )
-    return BoundsReport(entries=tuple(entries))
+    return BoundsReport(entries=tuple(
+        BoundEntry(bound_id, app, gt, rhs, not app or holds, can_be_tight and app and gt == rhs)
+        for bound_id, app, rhs, holds, can_be_tight in rows
+    ))
 
 
 def _restricted_growth_colourings(n: int, c_max: int):

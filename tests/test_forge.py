@@ -53,7 +53,6 @@ class TestCnf:
         f = parse_dimacs_cnf(DIMACS)
         assert f.num_vars == 3 and f.tau == 2 and f.X == 6
         assert f.clauses[0] == ((1, True), (2, False), (3, True))
-        assert f.literal(4) == (1, False)
 
     def test_parse_rejections(self):
         for text, message in (

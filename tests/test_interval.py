@@ -26,6 +26,8 @@ from tropidom.graph import ColouredGraph
 from tropidom.interval import IntervalInstance
 
 PAIRS = {1: (0, 2), 2: (1, 3), 3: (4, 5)}
+# integer endpoints as they are, as floats, and beyond int64
+ENDPOINTS = [lambda x: x, lambda x: x + 0.5, lambda x: x * 10**30 - 7]
 
 
 def spec_instance():
@@ -35,14 +37,24 @@ def spec_instance():
 
 class TestBuild:
     def test_valid_representation(self):
-        inst = spec_instance()
-        assert inst.order == (1, 2, 3)
-        assert inst.l == (0, 1, 4) and inst.r == (2, 3, 5)
+        g = build(3, [(1, 2)], [1, 2, 1])
+        for f in ENDPOINTS:
+            inst = build_interval_instance(g, {v: (f(lv), f(rv)) for v, (lv, rv) in PAIRS.items()})
+            assert inst.order == (1, 2, 3)
+            assert inst.l == tuple(map(f, (0, 1, 4))) and inst.r == tuple(map(f, (2, 3, 5)))
+            assert tdn_interval(inst).value == 2
 
     def test_mismatch_rejected(self):
-        g = build(3, [(1, 3)], [1, 2, 1])
-        with pytest.raises(RepresentationMismatchError):
-            build_interval_instance(g, PAIRS)
+        cases = [(build(3, [(1, 3)], [1, 2, 1]), PAIRS, "pair (1,2): intervals meet but edge is absent")]
+        # n identical intervals on a path: (1,3) is the first pair that meets
+        # with no edge
+        for n in (3, 4, 7):
+            g = build(n, [(v, v + 1) for v in range(1, n)], [1] * n)
+            cases.append((g, {v: (0, 1) for v in g.vertices}, "pair (1,3): intervals meet but edge is absent"))
+        for g, pairs, message in cases:
+            with pytest.raises(RepresentationMismatchError) as exc:
+                build_interval_instance(g, pairs)
+            assert str(exc.value) == message
 
     def test_wrong_count_rejected(self):
         g = build(3, [(1, 2)], [1, 2, 1])
@@ -123,8 +135,10 @@ class TestBuild:
 
     def test_order_sorted_by_right_endpoint_then_id(self):
         g = build(3, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
-        inst = build_interval_instance(g, {1: (0, 5), 2: (1, 5), 3: (2, 4)})
-        assert inst.order == (3, 1, 2)
+        pairs = {1: (0, 5), 2: (1, 5), 3: (2, 4)}
+        for f in ENDPOINTS:
+            inst = build_interval_instance(g, {v: (f(lv), f(rv)) for v, (lv, rv) in pairs.items()})
+            assert inst.order == (3, 1, 2)
 
 
 def prefix_tables(inst):

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import tropidom
 
 # The public names at the time they were pinned. A change that removes or
@@ -22,3 +27,16 @@ PUBLIC_NAMES = [
 def test_public_names_are_pinned():
     assert len(PUBLIC_NAMES) == 58
     assert sorted(tropidom.__all__) == PUBLIC_NAMES
+
+
+def test_import_leaves_mpmath_unloaded():
+    """mpmath is imported by expected_rainbow_count alone, so a CLI start or
+    an import of the package does not pay for it."""
+    src = str(Path(tropidom.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, tropidom; print('mpmath' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "False\n"
