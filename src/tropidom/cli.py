@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import approx, exact, forge, instance_io, interval, problab
 from .errors import BudgetExceededError, TropidomError
-from .graph import degree_profile, is_dominating, is_tropical
+from .graph import degree_profile, is_dominating, is_rainbow, is_tropical
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -73,9 +73,15 @@ def _cmd_solve(args) -> int:
         witness = res.witness
         payload = {"value": res.value, "witness": sorted(witness), "explored": res.explored}
 
-    # self-check gate: never emit a witness that fails re-validation
-    if witness is not None and not (is_dominating(g, witness) and is_tropical(g, witness)):
-        raise AssertionError("witness failed re-validation")
+    # self-check gate: never emit a witness that fails re-validation. A rainbow
+    # witness has one vertex of each colour; any other has the reported size.
+    if witness is not None:
+        if args.algo == "exact-rainbow":
+            sized = is_rainbow(g, witness)
+        else:
+            sized = len(witness) == payload["value"]
+        if not (sized and is_dominating(g, witness) and is_tropical(g, witness)):
+            raise AssertionError("witness failed re-validation")
     _emit({"command": "solve", "algo": args.algo, "instance": _digest(g), "result": payload}, args)
     return EXIT_OK
 

@@ -94,16 +94,6 @@ def greedy_dominating(g: ColouredGraph) -> list[int]:
     return [i + 1 for i in _greedy_cover(g.closed_mask, g.full_mask)]
 
 
-def _dominator_intersection(g: ColouredGraph, undominated: int) -> int:
-    """Bitmask of vertices that dominate every undominated vertex."""
-    cand = g.full_mask
-    for i in _iter_bits(undominated):
-        cand &= g.closed_mask[i]
-        if not cand:
-            break
-    return cand
-
-
 def _lower_bound(g: ColouredGraph) -> int:
     """max(c, ceil(n / max|N[v]|)): both certified lower bounds on gamma_t."""
     max_cover = max(m.bit_count() for m in g.closed_mask)
@@ -128,8 +118,10 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
     """
     full = g.full_mask
     closed = g.closed_mask
-    colour = g.colour
     colour_mask = g.colour_mask
+    # per vertex: the bit of its colour and the mask of its colour class
+    colour_bit = [1 << (k - 1) for k in g.colour]
+    colour_class = [colour_mask[k - 1] for k in g.colour]
     max_cover = max(m.bit_count() for m in closed)
     class_cover = [0] * g.c
     for c, m in enumerate(colour_mask):
@@ -138,7 +130,8 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
     fail = 0 if count else None
 
     # allowed: vertices not barred, narrowed to fresh at tight nodes;
-    # fresh: allowed vertices of unused colours
+    # fresh: allowed vertices of unused colours. The bit loops below take
+    # low = x & -x inline: a generator costs more than the work per bit.
     def dfs(
         unused: int, covered: int, allowed: int, fresh: int, chosen: list[int], remaining: int
     ):
@@ -147,8 +140,10 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
             if not count:
                 return complete_colours(g, chosen)
             ways = 1
-            for c in _iter_bits(unused):
-                ways *= (colour_mask[c] & fresh).bit_count()
+            while unused:
+                low = unused & -unused
+                ways *= (colour_mask[low.bit_length() - 1] & fresh).bit_count()
+                unused ^= low
             return ways
         undominated = full & ~covered
         if remaining * max_cover < undominated.bit_count():
@@ -156,37 +151,48 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
         if remaining == unused.bit_count():
             allowed = fresh
             if remaining > 1:  # with one pick left the closure below is exact
-                reach = covered
-                for c in _iter_bits(unused):
-                    reach |= class_cover[c]
+                reach, x = covered, unused
+                while x:
+                    low = x & -x
+                    reach |= class_cover[low.bit_length() - 1]
+                    x ^= low
                 if reach != full:
                     return fail
         if remaining == 1:
-            cand = allowed & _dominator_intersection(g, undominated)
+            # the allowed vertices that dominate every undominated vertex
+            cand, x = allowed, undominated
+            while x and cand:
+                low = x & -x
+                cand &= closed[low.bit_length() - 1]
+                x ^= low
             if count:
                 return cand.bit_count()
             return chosen + [(cand & -cand).bit_length()] if cand else None
-        best, best_size = 0, g.n + 1
-        for i in _iter_bits(undominated):
-            cand = closed[i] & allowed
+        best, best_size, x = 0, g.n + 1, undominated
+        while x:
+            low = x & -x
+            cand = closed[low.bit_length() - 1] & allowed
             size = cand.bit_count()
             if size < best_size:
                 best, best_size = cand, size
                 if size <= 1:
                     break
+            x ^= low
         total = fail
-        for u in _iter_bits(best):
-            c = colour[u] - 1
+        while best:
+            low = best & -best
+            u = low.bit_length() - 1
             res = dfs(
-                unused & ~(1 << c), covered | closed[u], allowed, fresh & ~colour_mask[c],
+                unused & ~colour_bit[u], covered | closed[u], allowed, fresh & ~colour_class[u],
                 chosen + [u + 1], remaining - 1,
             )
             if count:
                 total += res
             elif res is not None:
                 return res
-            allowed &= ~(1 << u)
-            fresh &= ~(1 << u)
+            allowed &= ~low
+            fresh &= ~low
+            best ^= low
         return total
 
     unused, covered, fresh, chosen = (1 << g.c) - 1, 0, full, []

@@ -21,6 +21,9 @@ from .errors import (
 )
 
 
+_PACK_CELLS = 1 << 22  # cells of one boolean block in ColouredGraph.adj_mask
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     delta: int
@@ -64,11 +67,38 @@ class ColouredGraph:
 
     @cached_property
     def adj_mask(self) -> tuple[int, ...]:
-        """adj_mask[v-1] = bitmask of the open neighbourhood N(v)."""
-        masks = [0] * self.n
-        for u, v in self.edges:
-            masks[u - 1] |= 1 << (v - 1)
-            masks[v - 1] |= 1 << (u - 1)
+        """adj_mask[v-1] = bitmask of the open neighbourhood N(v).
+
+        Both routes below give the same rows.
+        """
+        n = self.n
+        # Each edge ORs into two n-bit ints, while packing costs about n^2 / 8
+        # bytes plus fixed numpy calls: packing is faster from average degree
+        # 8 (m >= 4n) on, and several times slower on long paths.
+        if self.m < 4 * n:
+            masks = [0] * n
+            for u, v in self.edges:
+                masks[u - 1] |= 1 << (v - 1)
+                masks[v - 1] |= 1 << (u - 1)
+            return tuple(masks)
+        e = self._edge_array - 1
+        lo, hi = e[:, 0], e[:, 1]
+        width = (n + 7) // 8
+        step = min(n, max(1, _PACK_CELLS // n))  # rows per block
+        block = np.zeros((step, n), dtype=bool)
+        masks = []
+        for r0 in range(0, n, step):
+            r1 = min(n, r0 + step)
+            if r0:
+                block[:] = False
+            for rows, cols in ((lo, hi), (hi, lo)):
+                if step < n:
+                    sel = (rows >= r0) & (rows < r1)
+                    rows, cols = rows[sel], cols[sel]
+                block[rows - r0, cols] = True
+            buf = np.packbits(block[: r1 - r0], axis=1, bitorder="little").tobytes()
+            for i in range(0, len(buf), width):
+                masks.append(int.from_bytes(buf[i : i + width], "little"))
         return tuple(masks)
 
     @cached_property

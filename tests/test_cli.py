@@ -11,16 +11,20 @@ import pytest
 
 import tropidom
 from tropidom import (
+    ApproxResult,
     SolveResult,
+    approx,
     build,
     exact,
     gamma_t,
+    interval,
     parse_instance,
     path_intervals,
     path_order,
     write_instance,
 )
 from tropidom.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, main
+from tropidom.exact import RainbowResult
 
 P3 = "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 1 2\ne 2 3\n"
 
@@ -105,6 +109,21 @@ class TestSolve:
             exact, "gamma_t", lambda g, budget: SolveResult(1, frozenset({1}), 0)
         )
         code, out, err = run(capsys, "solve", "--algo", "exact", "--input", p3_file)
+        assert code == EXIT_INTERNAL
+        assert out == "" and err.startswith("internal error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("algo, module, name, result", [
+        # {1, 2} dominates P3 and shows both colours, but is reported as size 3
+        ("exact", exact, "gamma_t", lambda g, budget: SolveResult(3, frozenset({1, 2}), 0)),
+        ("interval", interval, "tdn_interval", lambda inst: SolveResult(3, frozenset({1, 2}), 0)),
+        ("greedy", approx, "greedy_setcover_tds", lambda g: ApproxResult(frozenset({1, 2}), 1, 1, None)),
+        ("path53", approx, "path_five_thirds", lambda g: ApproxResult(frozenset({1, 2}), 3, 1, None)),
+        # {1, 2, 3} is tropical and dominating but has two vertices of colour 1
+        ("exact-rainbow", exact, "rainbow_exists", lambda g, budget: RainbowResult(True, frozenset({1, 2, 3}), 1)),
+    ])
+    def test_corrupt_witness_is_an_internal_error(self, capsys, p3_file, monkeypatch, algo, module, name, result):
+        monkeypatch.setattr(module, name, result)
+        code, out, err = run(capsys, "solve", "--algo", algo, "--input", p3_file)
         assert code == EXIT_INTERNAL
         assert out == "" and err.startswith("internal error: ") and "Traceback" not in err
 

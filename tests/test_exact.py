@@ -275,3 +275,31 @@ def test_budget_counts_the_reported_nodes(n, p, c, seed):
         if res.explored >= 1:
             with pytest.raises(BudgetExceededError):
                 solve(g, budget=res.explored - 1)
+
+
+# (n, p, c, seed, rainbow_exists as (exists, sorted witness, explored),
+# count_rainbow_ds): G(n, 1/2, 3) threshold trials on yes and no answers, and
+# sparse many-colour graphs of TestRainbowSearch. Pinned like PINNED above.
+RAINBOW_PINNED = [
+    (60, 0.5, 3, [1717, 60, 0], (True, [20, 27, 29], 142), 1),
+    (60, 0.5, 3, [1717, 60, 1], (True, [35, 54, 60], 179), 1),
+    (60, 0.5, 3, [1717, 60, 2], (True, [18, 26, 30], 84), 4),
+    (70, 0.5, 3, [1717, 70, 0], (True, [10, 31, 33], 159), 1),
+    (70, 0.5, 3, [1717, 70, 1], (True, [1, 9, 36], 39), 4),
+    (70, 0.5, 3, [1717, 70, 2], (True, [23, 52, 57], 136), 3),
+    (80, 0.5, 3, [1717, 80, 0], (False, None, 508), 0),
+    (80, 0.5, 3, [1717, 80, 1], (True, [38, 46, 79], 534), 1),
+    (80, 0.5, 3, [1717, 80, 2], (False, None, 431), 0),
+    (60, 0.08, 10, [1212, 10, 2], (False, None, 97), 0),
+    (60, 0.12, 10, [1212, 10, 1], (False, None, 1189), 0),
+    (60, 0.12, 10, [1212, 10, 2], (True, [11, 15, 19, 23, 24, 28, 30, 53, 58, 59], 723), 4),
+]
+
+
+@pytest.mark.parametrize("n, p, c, seed, want_exists, want_count", RAINBOW_PINNED)
+def test_pinned_rainbow(n, p, c, seed, want_exists, want_count):
+    g = gen_gnpc(n, p, c, seed=seed)
+    res = rainbow_exists(g)
+    witness = None if res.witness is None else sorted(res.witness)
+    assert (res.exists, witness, res.explored) == want_exists
+    assert count_rainbow_ds(g) == want_count

@@ -215,12 +215,30 @@ class TestPathOrder:
 
 class TestMasks:
     def test_closed_mask_matches_neighbour_lists(self):
+        # adj_mask ORs edge by edge below m = 4n and packs boolean rows from
+        # m = 4n on: the cases straddle that cutoff, n = 2100 packs its rows
+        # in two blocks of 2^22 cells, and the last graph is made without build
         rng = np.random.default_rng(17)
-        for _ in range(60):
-            n, edges, colours = random_coloured_graph(rng, n_max=9)
-            g = build(n, edges, colours)
-            for v, nbrs in enumerate(closed_neighbourhoods(n, edges), 1):
-                assert g.closed_mask[v - 1] == sum(1 << (u - 1) for u in nbrs)
+        graphs = [build(*random_coloured_graph(rng, n_max=9)) for _ in range(60)]
+        for n in (1, 7, 8, 9, 63, 64, 65, 200):
+            pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+            cases = [[], pairs]
+            for m in (4 * n - 1, 4 * n, 4 * n + 1):
+                if 0 < m < len(pairs):
+                    pick = sorted(rng.choice(len(pairs), m, replace=False))
+                    cases.append([pairs[i][:: int(rng.choice([-1, 1]))] for i in pick])
+            graphs += [build(n, edges, [1] * n) for edges in cases]
+        assert sum(g.m >= 4 * g.n for g in graphs) >= 10
+        graphs.append(gen_gnpc(2100, 10 / 2099, 3, seed=19))
+        assert graphs[-1].m >= 4 * 2100 and 2100**2 > 1 << 22
+        pairs = [(u, v)[:: int(rng.choice([-1, 1]))] for u in range(1, 41) for v in range(u + 1, 41)]
+        edges = tuple(pairs[i] for i in rng.choice(len(pairs), 200, replace=False))
+        graphs.append(ColouredGraph(n=40, edges=edges, colour=(1,) * 40, c=1))
+        for g in graphs:
+            for v, nbrs in enumerate(closed_neighbourhoods(g.n, g.edges), 1):
+                want = sum(1 << (u - 1) for u in nbrs)
+                assert g.closed_mask[v - 1] == want
+                assert g.adj_mask[v - 1] == want & ~(1 << (v - 1))
 
     def test_one_coloured_shares_neighbourhood_masks(self):
         g = p3()
