@@ -382,7 +382,6 @@ def pad_colours(path: ColouredGraph, epsilon) -> ColouredGraph:
     col_b = path.c + 2
     colours = list(path.colour) + [col_b] * N
     colours[n + 1] = col_a  # second tail vertex gets the fresh colour A
-    edges = list(path.edges)
-    edges.append((order[-1], n + 1))
-    edges += [(n + i, n + i + 1) for i in range(1, N)]
-    return build(n + N, edges, colours)
+    tail = np.arange(n, n + N, dtype=np.int64)[:, None] + [0, 1]  # rows (n + i, n + i + 1)
+    tail[0, 0] = order[-1]  # the first tail edge hangs off the path's last vertex
+    return build(n + N, np.concatenate([path.edge_array, tail]), colours)

@@ -34,18 +34,32 @@ class DegreeProfile:
 class ColouredGraph:
     """Immutable graph with a total colouring by colours 1..c.
 
-    Every colour in 1..c appears on at least one vertex; ``build`` enforces
-    this along with simplicity of the edge set.
+    edge_array is the one edge store: a read-only (m, 2) int64 array, which
+    ``build`` fills with (lo, hi) rows in lexicographic order after checking
+    that every colour in 1..c appears and the edge set is simple. Two graphs
+    are equal when n, colour, c and the edge rows are equal.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    edge_array: np.ndarray
     colour: tuple[int, ...]  # colour[v-1] is the colour of vertex v
     c: int
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        same = (self.n, self.colour, self.c) == (other.n, other.colour, other.c)
+        return same and np.array_equal(self.edge_array, other.edge_array)
+
+    def __hash__(self):
+        return hash((self.n, self.colour, self.c, self.edge_array.tobytes()))
+
+    def __repr__(self):
+        return f"ColouredGraph(n={self.n}, m={self.m}, c={self.c})"
+
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     @property
     def vertices(self) -> range:
@@ -56,14 +70,10 @@ class ColouredGraph:
         return (1 << self.n) - 1
 
     @cached_property
-    def _edge_array(self) -> np.ndarray:
-        """The edges as a read-only (m, 2) int64 array, row for row.
-
-        ``build`` seeds it with the array it has already sorted and checked.
-        """
-        e = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-        e.flags.writeable = False
-        return e
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The rows of edge_array as a tuple of int pairs, built on first read."""
+        lo, hi = self.edge_array.T.tolist()
+        return tuple(zip(lo, hi))
 
     @cached_property
     def adj_mask(self) -> tuple[int, ...]:
@@ -77,11 +87,12 @@ class ColouredGraph:
         # 8 (m >= 4n) on, and several times slower on long paths.
         if self.m < 4 * n:
             masks = [0] * n
-            for u, v in self.edges:
-                masks[u - 1] |= 1 << (v - 1)
-                masks[v - 1] |= 1 << (u - 1)
+            lo, hi = (self.edge_array - 1).T.tolist()
+            for u, v in zip(lo, hi):
+                masks[u] |= 1 << v
+                masks[v] |= 1 << u
             return tuple(masks)
-        e = self._edge_array - 1
+        e = self.edge_array - 1
         lo, hi = e[:, 0], e[:, 1]
         width = (n + 7) // 8
         step = min(n, max(1, _PACK_CELLS // n))  # rows per block
@@ -139,8 +150,8 @@ def build(n: int, edges, colours) -> ColouredGraph:
     edges is a list of pairs or an (m, 2) integer array. Invalid edges raise
     for the first offending edge in input order: an endpoint outside 1..n,
     then a self-loop, then a repeat of an earlier edge in either orientation.
-    The stored edges are (lo, hi) pairs of ints in lexicographic order, and
-    the graph keeps them as an (m, 2) array too.
+    The graph keeps its edges as one read-only (m, 2) int64 array of (lo, hi)
+    rows in lexicographic order.
     """
     if n < 1:
         raise OutOfRangeError("n must be at least 1")
@@ -177,13 +188,10 @@ def build(n: int, edges, colours) -> ColouredGraph:
     for k in range(1, c + 1):
         if k not in used:
             raise ColourGapError(f"colour {k} unused (colours must cover 1..{c})")
-    lo, hi = lo[order], hi[order]
-    g = ColouredGraph(n=n, edges=tuple(zip(lo.tolist(), hi.tolist())), colour=tuple(colours), c=c)
     e = np.empty((len(lo), 2), dtype=np.int64)
-    e[:, 0], e[:, 1] = lo, hi
+    e[:, 0], e[:, 1] = lo[order], hi[order]
     e.flags.writeable = False
-    vars(g)["_edge_array"] = e
-    return g
+    return ColouredGraph(n=n, edge_array=e, colour=tuple(colours), c=c)
 
 
 def is_dominating(g: ColouredGraph, s: Iterable[int]) -> bool:
@@ -234,7 +242,7 @@ def is_rainbow(g: ColouredGraph, s) -> bool:
 
 def degree_profile(g: ColouredGraph) -> DegreeProfile:
     """Minimum and maximum degree, counted from the edge array."""
-    degrees = np.bincount(g._edge_array.ravel(), minlength=g.n + 1)[1:].tolist()
+    degrees = np.bincount(g.edge_array.ravel(), minlength=g.n + 1)[1:].tolist()
     return DegreeProfile(delta=min(degrees), big_delta=max(degrees))
 
 

@@ -251,7 +251,7 @@ def write_instance(
         lines.append(f"# legend {k} {legend[k]}")
     lines.append(f"p tdgs {g.n} {g.m} {g.c}")
     lines.extend(f"v {v} {g.colour[v - 1]}" for v in g.vertices)
-    edge_lines = ("e %d %d\n" * g.m) % tuple(g._edge_array.ravel().tolist())
+    edge_lines = ("e %d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
     interval_lines = "".join(
         f"i {v} {intervals[v][0]} {intervals[v][1]}\n" for v in sorted(intervals or {})
     )

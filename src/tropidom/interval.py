@@ -75,7 +75,7 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
     j = i + np.arange(len(i)) - np.repeat(np.cumsum(count), count)
     u, w = order[j] + 1, order[i] + 1
     meets = np.sort(np.minimum(u, w) * (n + 1) + np.maximum(u, w))
-    edges = np.sort(g._edge_array @ [n + 1, 1])
+    edges = np.sort(g.edge_array @ [n + 1, 1])
     if not np.array_equal(meets, edges):
         first = np.setxor1d(meets, edges)[0]  # the least differing (u, v)
         u, v = divmod(int(first), n + 1)

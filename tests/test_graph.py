@@ -7,16 +7,29 @@ from hypothesis import strategies as st
 
 from _oracles import brute_is_dominating, closed_neighbourhoods, random_coloured_graph, reference_edge_check
 from tropidom import (
+    CnfFormula,
     ColouredGraph,
+    SubcubicGraph,
     build,
+    build_interval_instance,
+    count_rainbow_ds,
     degree_profile,
+    gamma,
+    gamma_t,
     gen_gnpc,
+    greedy_setcover_tds,
     is_connected,
     is_dominating,
     is_rainbow,
     is_tropical,
+    pad_colours,
     parse_instance,
+    path_five_thirds,
     path_order,
+    rainbow_exists,
+    sat_to_path,
+    tdn_interval,
+    vc_to_path,
     write_instance,
 )
 from tropidom.errors import (
@@ -232,8 +245,8 @@ class TestMasks:
         graphs.append(gen_gnpc(2100, 10 / 2099, 3, seed=19))
         assert graphs[-1].m >= 4 * 2100 and 2100**2 > 1 << 22
         pairs = [(u, v)[:: int(rng.choice([-1, 1]))] for u in range(1, 41) for v in range(u + 1, 41)]
-        edges = tuple(pairs[i] for i in rng.choice(len(pairs), 200, replace=False))
-        graphs.append(ColouredGraph(n=40, edges=edges, colour=(1,) * 40, c=1))
+        edges = np.array([pairs[i] for i in rng.choice(len(pairs), 200, replace=False)])
+        graphs.append(ColouredGraph(n=40, edge_array=edges, colour=(1,) * 40, c=1))
         for g in graphs:
             for v, nbrs in enumerate(closed_neighbourhoods(g.n, g.edges), 1):
                 want = sum(1 << (u - 1) for u in nbrs)
@@ -257,10 +270,11 @@ class TestEdgeArray:
             build(3, np.zeros((0, 2), dtype=np.int64), [1, 2, 1]),
             gen_gnpc(40, 0.2, 3, 11),
         ]
+        assert all(np.array_equal(g.edge_array, [[1, 2], [1, 3], [3, 4]]) for g in cases[:2])
         for g in cases:
-            want = np.array(g.edges, dtype=np.int64).reshape(-1, 2)
-            assert g._edge_array.dtype == np.int64 and np.array_equal(g._edge_array, want)
-            assert not g._edge_array.flags.writeable
+            e = g.edge_array
+            assert e.dtype == np.int64 and e.shape == (g.m, 2) and not e.flags.writeable
+            assert np.all(e[:, 0] < e[:, 1]) and np.all(np.diff(e[:, 0] * (g.n + 1) + e[:, 1]) > 0)
 
     def test_copies_derive_the_same_array(self):
         rng = np.random.default_rng(23)
@@ -270,12 +284,12 @@ class TestEdgeArray:
             want = (degree_profile(g), write_instance(g))
             copies = [
                 dataclasses.replace(g),
-                ColouredGraph(n=g.n, edges=g.edges, colour=g.colour, c=g.c),
+                ColouredGraph(n=g.n, edge_array=g.edge_array, colour=g.colour, c=g.c),
                 g.one_coloured(),
                 dataclasses.replace(g).one_coloured(),
             ]
             for h in copies:
-                assert np.array_equal(h._edge_array, g._edge_array)
+                assert np.array_equal(h.edge_array, g.edge_array)
                 assert degree_profile(h) == want[0]
             for h in copies[:2]:
                 assert write_instance(h) == want[1]
@@ -284,10 +298,59 @@ class TestEdgeArray:
             assert write_instance(one) == write_instance(build(g.n, list(g.edges), [1] * g.n))
 
     def test_direct_construction_keeps_edge_order(self):
-        # a graph made without build is written as its edges read
-        g = ColouredGraph(n=3, edges=((2, 3), (1, 2)), colour=(1, 2, 1), c=2)
+        # a graph made without build is written as its edge rows read
+        g = ColouredGraph(n=3, edge_array=np.array([[2, 3], [1, 2]]), colour=(1, 2, 1), c=2)
         assert write_instance(g) == "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 2 3\ne 1 2\n"
         assert degree_profile(g).big_delta == 2
+
+    def test_no_library_path_builds_the_pair_tuple(self):
+        # edges is built on first read only; every library path reads edge_array
+        path = build(9, [(i, i + 1) for i in range(1, 9)], [1, 2, 3] * 3)
+        clique = np.array([(u, v) for u in range(1, 13) for v in range(u + 1, 13)])
+        dense = build(12, clique, [1 + v % 3 for v in range(12)])
+        assert path.m < 4 * path.n and dense.m >= 4 * dense.n  # both adj_mask routes
+        g = gen_gnpc(30, 0.3, 3, 5)
+        graphs = [path, dense, g, parse_instance(write_instance(g)).graph]
+        for h in graphs:
+            write_instance(h)
+            degree_profile(h)
+            h.closed_mask
+            greedy_setcover_tds(h)
+            gamma_t(h)
+            gamma(h)
+            rainbow_exists(h)
+            count_rainbow_ds(h)
+        tdn_interval(build_interval_instance(path))
+        path_five_thirds(path)
+        graphs.append(pad_colours(path, 0.5))
+        graphs.append(vc_to_path(SubcubicGraph(4, ((1, 2), (2, 3), (3, 4)))).path)
+        graphs.append(sat_to_path(CnfFormula(3, (((1, True), (2, False), (3, True)),))).path)
+        graphs.append(pad_colours(graphs[-1], 0.5))
+        assert all("edges" not in vars(h) for h in graphs)
+
+    def test_equality_hash_and_repr(self):
+        pairs, colours = [(1, 2), (3, 1), (4, 3)], [1, 2, 1, 2]
+        g = build(4, pairs, colours)
+        same = [
+            build(4, np.array(pairs), colours),
+            build(4, [(v, u) for u, v in pairs], colours),
+            parse_instance(write_instance(g)).graph,
+            dataclasses.replace(g),
+        ]
+        for h in same:
+            assert h == g and hash(h) == hash(g)
+        other = [
+            build(4, [(1, 2), (3, 1), (4, 2)], colours),
+            build(4, pairs, [1, 2, 2, 1]),
+            build(4, pairs[:2], colours),
+            build(5, pairs, colours + [1]),
+        ]
+        assert all(h != g for h in other) and g != pairs
+        assert g.one_coloured().edge_array is g.edge_array
+        big = gen_gnpc(300, 0.5, 5, 3)
+        assert dataclasses.replace(big).edge_array is big.edge_array
+        assert parse_instance(write_instance(big)).graph == big
+        assert repr(big) == f"ColouredGraph(n=300, m={big.m}, c=5)"
 
 
 @settings(max_examples=60, deadline=None)

@@ -241,7 +241,8 @@ class TestTdn:
                 g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
                 inst = build_interval_instance(g, path_intervals(n))
             else:  # too large to build: only n and c are read before the refusal
-                inst = IntervalInstance(ColouredGraph(n=n, edges=(), colour=(), c=c), (), (), ())
+                empty = ColouredGraph(n=n, edge_array=np.zeros((0, 2), np.int64), colour=(), c=c)
+                inst = IntervalInstance(empty, (), (), ())
             with pytest.raises(TooManyColoursError) as exc:
                 tdn_interval(inst)
             assert str(exc.value) == (
