@@ -66,11 +66,15 @@ def mds_plus_colours(g: ColouredGraph, ds) -> ApproxResult:
     )
 
 
+def _path_bound(g: ColouredGraph) -> int:
+    return max(-(-g.n // 3), g.c, -(-(g.n + 2 * g.c) // 5))
+
+
 def path_lower_bound(g: ColouredGraph) -> int:
     """max(ceil(n/3), c, ceil((n+2c)/5)), valid on any coloured path."""
     if path_order(g) is None:
         raise NotAPathError("graph is not a simple path")
-    return max(-(-g.n // 3), g.c, -(-(g.n + 2 * g.c) // 5))
+    return _path_bound(g)
 
 
 def path_five_thirds(g: ColouredGraph) -> ApproxResult:
@@ -117,6 +121,6 @@ def path_five_thirds(g: ColouredGraph) -> ApproxResult:
     return ApproxResult(
         witness=witness,
         size=len(witness),
-        lower_bound=path_lower_bound(g),
+        lower_bound=_path_bound(g),
         ratio_bound=Fraction(5, 3),
     )

@@ -21,7 +21,7 @@ from .errors import (
 )
 
 
-_PACK_CELLS = 1 << 22  # cells of one boolean block in ColouredGraph.adj_mask
+_PACK_CELLS = 1 << 22  # cells of one boolean block in ColouredGraph.closed_mask
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,9 @@ class ColouredGraph:
     edge_array is the one edge store: a read-only (m, 2) int64 array, which
     ``build`` fills with (lo, hi) rows in lexicographic order after checking
     that every colour in 1..c appears and the edge set is simple. Two graphs
-    are equal when n, colour, c and the edge rows are equal.
+    are equal when n, colour, c and the edge rows are equal. closed_mask,
+    built on first read, is the one neighbourhood store: every solver and
+    predicate reads the closed rows N[v].
     """
 
     n: int
@@ -76,8 +78,8 @@ class ColouredGraph:
         return tuple(zip(lo, hi))
 
     @cached_property
-    def adj_mask(self) -> tuple[int, ...]:
-        """adj_mask[v-1] = bitmask of the open neighbourhood N(v).
+    def closed_mask(self) -> tuple[int, ...]:
+        """closed_mask[v-1] = bitmask of the closed neighbourhood N[v].
 
         Both routes below give the same rows.
         """
@@ -86,7 +88,7 @@ class ColouredGraph:
         # bytes plus fixed numpy calls: packing is faster from average degree
         # 8 (m >= 4n) on, and several times slower on long paths.
         if self.m < 4 * n:
-            masks = [0] * n
+            masks = [1 << i for i in range(n)]
             lo, hi = (self.edge_array - 1).T.tolist()
             for u, v in zip(lo, hi):
                 masks[u] |= 1 << v
@@ -102,6 +104,8 @@ class ColouredGraph:
             r1 = min(n, r0 + step)
             if r0:
                 block[:] = False
+            d = np.arange(r1 - r0)
+            block[d, d + r0] = True
             for rows, cols in ((lo, hi), (hi, lo)):
                 if step < n:
                     sel = (rows >= r0) & (rows < r1)
@@ -111,11 +115,6 @@ class ColouredGraph:
             for i in range(0, len(buf), width):
                 masks.append(int.from_bytes(buf[i : i + width], "little"))
         return tuple(masks)
-
-    @cached_property
-    def closed_mask(self) -> tuple[int, ...]:
-        """closed_mask[v-1] = bitmask of the closed neighbourhood N[v]."""
-        return tuple(m | (1 << i) for i, m in enumerate(self.adj_mask))
 
     @cached_property
     def colour_mask(self) -> tuple[int, ...]:
@@ -128,11 +127,11 @@ class ColouredGraph:
     def one_coloured(self) -> ColouredGraph:
         """The same graph with every vertex in colour 1.
 
-        The copy shares this graph's neighbourhood masks, which do not depend
-        on the colours; its colour_mask is built anew.
+        The copy shares this graph's closed_mask rows, which do not depend on
+        the colours; its colour_mask is built anew.
         """
         h = replace(self, colour=(1,) * self.n, c=1)
-        vars(h).update(adj_mask=self.adj_mask, closed_mask=self.closed_mask)
+        vars(h).update(closed_mask=self.closed_mask)
         return h
 
 
@@ -247,13 +246,14 @@ def degree_profile(g: ColouredGraph) -> DegreeProfile:
 
 
 def is_connected(g: ColouredGraph) -> bool:
-    """Bitmask BFS reachability from vertex 1."""
+    """Bitmask BFS reachability from vertex 1 over the closed rows, whose
+    extra bits (the frontier itself) are already reached."""
     reached = 1
     frontier = 1
     while frontier:
         nxt = 0
         for i in _iter_bits(frontier):
-            nxt |= g.adj_mask[i]
+            nxt |= g.closed_mask[i]
         frontier = nxt & ~reached
         reached |= nxt
     return reached == g.full_mask
@@ -269,15 +269,17 @@ def path_order(g: ColouredGraph) -> list[int] | None:
         return [1] if g.m == 0 else None
     if g.m != g.n - 1:
         return None
-    degs = [m.bit_count() for m in g.adj_mask]
-    if degs.count(1) != 2 or max(degs) > 2:
+    closed = g.closed_mask
+    sizes = [m.bit_count() for m in closed]  # degree + 1
+    if sizes.count(2) != 2 or max(sizes) > 3:
         return None
-    # walk from the lower-id end; beside a disjoint cycle it stops short of n
-    cur = degs.index(1)
+    # walk from the lower-id end (cur is in seen, so closed[cur] & ~seen is
+    # its unseen neighbours); beside a disjoint cycle it stops short of n
+    cur = sizes.index(2)
     order = [cur + 1]
     seen = 1 << cur
     while len(order) < g.n:
-        nxt = g.adj_mask[cur] & ~seen
+        nxt = closed[cur] & ~seen
         if not nxt:
             return None
         cur = nxt.bit_length() - 1

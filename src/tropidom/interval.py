@@ -3,7 +3,9 @@
 Vertices are reordered non-decreasingly by right endpoint (ties by vertex
 id). In that order position i meets exactly the earlier positions a_i..i-1,
 where a_i is the least position whose right endpoint reaches l_i; the
-representation is checked against the graph by that rule in O(n log n + m).
+representation is checked against the graph by that rule in O(n log n + m),
+edge by edge and by per-vertex counts of meeting partners, without listing
+the meeting pairs.
 The table f(S, i) holds the least size of a proper i-prefix dominating set
 covering exactly the colour subset S; it is stored row-contiguously, one row
 of all 2^c subsets per position i, in the smallest unsigned integer dtype that
@@ -70,19 +72,37 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
     # with r sorted and l <= r, position i meets exactly the positions a_i..i-1
     # before it, the rule _prefix_arrays uses
     a = np.searchsorted(ends[order, 1], ends[order, 0])
-    count = np.arange(n) - a
-    i = np.repeat(np.arange(n), count)
-    j = i + np.arange(len(i)) - np.repeat(np.cumsum(count), count)
-    u, w = order[j] + 1, order[i] + 1
-    meets = np.sort(np.minimum(u, w) * (n + 1) + np.maximum(u, w))
-    edges = np.sort(g.edge_array @ [n + 1, 1])
-    if not np.array_equal(meets, edges):
-        first = np.setxor1d(meets, edges)[0]  # the least differing (u, v)
-        u, v = divmod(int(first), n + 1)
-        meet = first in meets
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    e = g.edge_array - 1
+    p, q = np.sort(pos[e], axis=1).T
+    meet = (p < q) & (a[q] <= p)
+    # a mismatching pair (u, v), u < v, is keyed u * (n + 1) + v; the least
+    # "miss but present" and the least "meet but absent" key are compared
+    keys = []
+    if not meet.all():
+        key = np.sort(g.edge_array, axis=1) @ [n + 1, 1]
+        keys.append((int(key[~meet].min()), False))
+    # position i meets i - a_i earlier positions and #{k > i : a_k <= i} later
+    # ones; as a_k <= k, the sum is cumsum(bincount(a))[i] - a_i - 1
+    met = np.bincount(p[meet], minlength=n) + np.bincount(q[meet], minlength=n)
+    short = (np.cumsum(np.bincount(a, minlength=n)) - a - 1 - met)[pos] > 0
+    if short.any():
+        # the least vertex short of edges is the smaller end of the least
+        # absent pair, whose other end is its least meeting non-neighbour
+        x = int(short.argmax())
+        i = int(pos[x])
+        later = np.flatnonzero(a[i + 1 :] <= i) + i + 1
+        partners = order[np.concatenate((np.arange(a[i], i), later))]
+        nbrs = np.concatenate((e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]))
+        y = int(np.setdiff1d(partners, nbrs)[0])
+        keys.append(((x + 1) * (n + 1) + y + 1, True))
+    if keys:
+        first, absent = min(keys)
+        u, v = divmod(first, n + 1)
         raise RepresentationMismatchError(
-            f"pair ({u},{v}): intervals {'meet' if meet else 'miss'} "
-            f"but edge is {'absent' if meet else 'present'}"
+            f"pair ({u},{v}): intervals {'meet' if absent else 'miss'} "
+            f"but edge is {'absent' if absent else 'present'}"
         )
     order = order.tolist()
     return IntervalInstance(

@@ -20,7 +20,9 @@ from tropidom import (
     path_five_thirds,
     path_lower_bound,
 )
+from tropidom import approx
 from tropidom.approx import harmonic
+from tropidom.graph import path_order
 from tropidom.exact import _greedy_cover, greedy_dominating
 from tropidom.interval import build_interval_instance, tdn_interval
 from tropidom.errors import NotAPathError, NotDominatingError
@@ -202,6 +204,14 @@ class TestPathFiveThirds:
         g = build(4, [(1, 2), (1, 3), (1, 4)], [1, 1, 1, 1])
         with pytest.raises(NotAPathError):
             path_five_thirds(g)
+
+    def test_walks_the_path_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(approx, "path_order", lambda g: calls.append(g) or path_order(g))
+        g = build(5, [(4, 1), (1, 5), (5, 2), (2, 3)], [1, 2, 1, 2, 3])
+        res = path_five_thirds(g)
+        assert calls == [g]
+        assert res.lower_bound == path_lower_bound(g) == 3
 
     def test_exhaustive_small_paths(self):
         for n in range(1, 10):

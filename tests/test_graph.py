@@ -1,4 +1,6 @@
 import dataclasses
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,9 +230,10 @@ class TestPathOrder:
 
 class TestMasks:
     def test_closed_mask_matches_neighbour_lists(self):
-        # adj_mask ORs edge by edge below m = 4n and packs boolean rows from
-        # m = 4n on: the cases straddle that cutoff, n = 2100 packs its rows
-        # in two blocks of 2^22 cells, and the last graph is made without build
+        # closed_mask ORs edge by edge below m = 4n and packs boolean rows
+        # from m = 4n on: the cases straddle that cutoff, n = 2100 packs its
+        # rows in two blocks of 2^22 cells, and the last graph is made without
+        # build
         rng = np.random.default_rng(17)
         graphs = [build(*random_coloured_graph(rng, n_max=9)) for _ in range(60)]
         for n in (1, 7, 8, 9, 63, 64, 65, 200):
@@ -251,14 +254,36 @@ class TestMasks:
             for v, nbrs in enumerate(closed_neighbourhoods(g.n, g.edges), 1):
                 want = sum(1 << (u - 1) for u in nbrs)
                 assert g.closed_mask[v - 1] == want
-                assert g.adj_mask[v - 1] == want & ~(1 << (v - 1))
 
     def test_one_coloured_shares_neighbourhood_masks(self):
         g = p3()
         h = g.one_coloured()
         assert (h.n, h.edges, h.colour, h.c) == (3, g.edges, (1, 1, 1), 1)
-        assert h.adj_mask is g.adj_mask and h.closed_mask is g.closed_mask
+        assert h.closed_mask is g.closed_mask
         assert h.colour_mask == (0b111,) and g.colour_mask == (0b101, 0b010)
+
+    def test_a_graph_keeps_one_set_of_rows(self):
+        # the path's centre positions 1, 4, 7, ... hold ids 1..k, so the
+        # greedy meets the lower bound ceil(n / 3) and gamma_t searches no node
+        n = 8000
+        rng = np.random.default_rng(8)
+        centres = np.arange(1, n - 1, 3)
+        ids = np.empty(n, dtype=np.int64)
+        ids[centres] = np.arange(1, len(centres) + 1)
+        rest = np.setdiff1d(np.arange(n), centres)
+        ids[rest] = rng.permutation(np.arange(len(centres) + 1, n + 1))
+        g = build(n, np.column_stack((ids[:-1], ids[1:])), [1 + v % 3 for v in range(n)])
+        walk = (ids if ids[0] < ids[-1] else ids[::-1]).tolist()
+        tracemalloc.start()
+        try:
+            res = gamma_t(g)
+            greedy_setcover_tds(g)
+            found = is_connected(g) and path_order(g) == walk
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert found and (res.value, res.explored) == (-(-n // 3), 0)
+        assert retained < 1.3 * sum(sys.getsizeof(r) for r in g.closed_mask)
 
 
 class TestEdgeArray:
@@ -308,7 +333,7 @@ class TestEdgeArray:
         path = build(9, [(i, i + 1) for i in range(1, 9)], [1, 2, 3] * 3)
         clique = np.array([(u, v) for u in range(1, 13) for v in range(u + 1, 13)])
         dense = build(12, clique, [1 + v % 3 for v in range(12)])
-        assert path.m < 4 * path.n and dense.m >= 4 * dense.n  # both adj_mask routes
+        assert path.m < 4 * path.n and dense.m >= 4 * dense.n  # both closed_mask routes
         g = gen_gnpc(30, 0.3, 3, 5)
         graphs = [path, dense, g, parse_instance(write_instance(g)).graph]
         for h in graphs:

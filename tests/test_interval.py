@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 import tracemalloc
 from bisect import bisect_right
 from pathlib import Path
@@ -54,6 +55,38 @@ class TestBuild:
         for g, pairs, message in cases:
             with pytest.raises(RepresentationMismatchError) as exc:
                 build_interval_instance(g, pairs)
+            assert str(exc.value) == message
+
+    def test_mismatch_refused_without_listing_meeting_pairs(self):
+        # n identical intervals on an n-vertex path meet in n(n-1)/2 pairs
+        n = 3000
+        g = build(n, [(v, v + 1) for v in range(1, n)], [1] * n)
+        pairs = {v: (0, 1) for v in g.vertices}
+        tracemalloc.start()
+        t0 = time.perf_counter()
+        try:
+            with pytest.raises(RepresentationMismatchError) as exc:
+                build_interval_instance(g, pairs)
+            elapsed = time.perf_counter() - t0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == "pair (1,3): intervals meet but edge is absent"
+        assert elapsed < 1 and peak < 16 * 2**20
+
+    def test_edge_rows_in_any_order_and_orientation(self):
+        # a graph made without build keeps its rows as given
+        for rows, message in (
+            ([[2, 1]], None),
+            ([[3, 2], [2, 1]], "pair (2,3): intervals miss but edge is present"),
+            ([[3, 1]], "pair (1,2): intervals meet but edge is absent"),
+        ):
+            g = ColouredGraph(n=3, edge_array=np.array(rows), colour=(1, 2, 1), c=2)
+            if message is None:
+                assert build_interval_instance(g, PAIRS).order == (1, 2, 3)
+                continue
+            with pytest.raises(RepresentationMismatchError) as exc:
+                build_interval_instance(g, PAIRS)
             assert str(exc.value) == message
 
     def test_wrong_count_rejected(self):
