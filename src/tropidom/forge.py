@@ -374,7 +374,7 @@ def pad_colours(path: ColouredGraph, epsilon) -> ColouredGraph:
     bits = math.log2(n + 2) / epsilon
     if bits > _TAIL_BITS:
         raise BadEpsilonError(
-            f"epsilon={epsilon} needs a tail of N = ceil({n + 2}^(1/epsilon)) ~ 2^{bits:.1f} "
+            f"epsilon={epsilon} needs a tail of N = ceil({n + 2}^(1/epsilon)) ~ 2^{bits:.4g} "
             f"vertices, over the limit of 2^{_TAIL_BITS}"
         )
     N = int(np.ceil((n + 2) ** (1.0 / float(epsilon))))

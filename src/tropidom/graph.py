@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -146,7 +147,8 @@ def _iter_bits(mask: int):
 def build(n: int, edges, colours) -> ColouredGraph:
     """Validate and assemble a coloured graph; c = max colour id.
 
-    edges is a list of pairs or an (m, 2) integer array. Invalid edges raise
+    edges is a list of integer pairs or an (m, 2) integer array; the first
+    pair with a non-integer endpoint raises ValueError. Invalid edges raise
     for the first offending edge in input order: an endpoint outside 1..n,
     then a self-loop, then a repeat of an earlier edge in either orientation.
     The graph keeps its edges as one read-only (m, 2) int64 array of (lo, hi)
@@ -156,15 +158,22 @@ def build(n: int, edges, colours) -> ColouredGraph:
         raise OutOfRangeError("n must be at least 1")
     if len(colours) != n:
         raise OutOfRangeError(f"expected {n} colours, got {len(colours)}")
-    try:
-        e = np.asarray(edges, dtype=np.int64)
-    except OverflowError:
-        # an endpoint beyond int64 is out of range, and stays so clipped to n + 1
-        e = np.clip(np.asarray(edges, dtype=object), 0, n + 1).astype(np.int64)
+    e = np.asarray(edges)
+    if e.dtype.kind not in "iu" and e.size:
+        # a cast would truncate floats and parse strings; an endpoint beyond
+        # int64 infers float64 or object, is out of range, and stays so
+        # clipped to n + 1
+        e = np.asarray(edges, dtype=object)
+        if e.ndim == 2 and e.shape[1] == 2:
+            for u, v in e:
+                if not (isinstance(u, Integral) and isinstance(v, Integral)):
+                    raise ValueError(f"edge ({u!r},{v!r}) has a non-integer endpoint")
+            e = np.clip(e, 0, n + 1)
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError(f"edges must be pairs, got an array of shape {e.shape}")
+    e = e.astype(np.int64, copy=False)
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
     key = lo * (n + 1) + hi  # lexicographic rank of (lo, hi) for in-range edges

@@ -6,13 +6,14 @@ where a_i is the least position whose right endpoint reaches l_i; the
 representation is checked against the graph by that rule in O(n log n + m),
 edge by edge and by per-vertex counts of meeting partners, without listing
 the meeting pairs.
-The table f(S, i) holds the least size of a proper i-prefix dominating set
-covering exactly the colour subset S; it is stored row-contiguously, one row
-of all 2^c subsets per position i, in the smallest unsigned integer dtype that
-holds 2n + c + 1, and each row is filled by numpy from the rows of the
-admissible predecessors P_i, so the fill is O(2^c * sum |P_i|), in the worst
-case O(2^c n^2). The P_i come from one vectorised test over windows of
-candidate positions.
+The table f(S, i) holds the least size of an i-prefix dominating set whose
+last pick is i, covering exactly the colour subset S; it is stored
+row-contiguously, one row of all 2^c subsets per position i, in the smallest
+unsigned integer dtype that holds 2n + c + 1. Each row is filled by numpy
+from one contiguous window of earlier rows, the positions lo_i..i-1 with
+b_j >= a_i, so the fill is O(2^c * sum (i - lo_i)), in the worst case
+O(2^c n^2); besides the table, the only buffer that grows with n is the
+final sums.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .exact import SolveResult
 from .graph import ColouredGraph, complete_colours, path_order
 
 TABLE_BYTES = 1 << 30  # largest DP table tdn_interval allocates
-_MASK_CELLS = 1 << 16  # window cells per block of the admissibility test
 
 
 @dataclass(frozen=True)
@@ -64,7 +64,7 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
         if v not in intervals:
             raise RepresentationMismatchError(f"vertex {v} has no interval")
         lv, rv = intervals[v]
-        if lv > rv:
+        if not lv <= rv:  # also refuses NaN endpoints
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
     pairs = [intervals[v] for v in g.vertices]
     n, ends = g.n, np.array(pairs)
@@ -124,66 +124,46 @@ def _table_dtype(n: int, c: int) -> np.dtype:
 
 
 def _prefix_arrays(inst: IntervalInstance):
-    """a (by position), b (by j in 0..n) and the predecessor lists P_i as
-    one flat array with row offsets: P_i is preds[start[i-1]:start[i]]."""
+    """a (by position), b (by j in 0..n) and lo (by position).
+
+    Position i extends exactly the prefix sets whose last pick j lies in the
+    window lo_i..i-1, the j < i with b_j >= a_i (b is non-decreasing). Such a
+    set dominates positions 1..j; positions j+1..a_i-1 lie before b_j, so they
+    meet j; positions a_i..i meet i. Every set the DP builds therefore
+    dominates its prefix, and the window holds every predecessor whose
+    interval neither contains nor is contained in I_i, through which a
+    minimum tropical dominating set is reached; the minimum is gamma_t.
+    """
     n = inst.n
     l, r = np.array(inst.l), np.array(inst.r)
     # a_i: least position j with r_j >= l_i (r is sorted)
     a = np.searchsorted(r, l) + 1
     # b_j: least k > j with l_k > r_j, or n + 1; position k serves every
     # j <= min(k - 1, a_k - 1), so b_j is the first k whose running maximum
-    # of that bound reaches j (b_0 = 1)
+    # of that bound reaches j (b_0 = 1, so position 0 starts every window
+    # with a_i = 1; no window is empty, as b_{i-1} >= i >= a_i)
     reach = np.maximum.accumulate(np.minimum(np.arange(n), a - 1))
     b = np.searchsorted(reach, np.arange(n + 1)) + 1
-    # j < i is admissible iff b_j >= a_i and neither interval contains the
-    # other, which for r_j <= r_i means l_j < l_i and r_j < r_i. b is
-    # non-decreasing, so b_j >= a_i and r_j < r_i hold exactly on a window
-    # lo_i <= j <= hi_i; position 0 (b_0 = 1) stands left of every interval.
-    lo = np.searchsorted(b, a)
-    hi = np.searchsorted(r, r)
-    l0 = np.concatenate(([l.min() - 1], l))
-    width = np.maximum(hi - lo + 1, 0)
-    wend = np.cumsum(width)
-    # the windows laid end to end, tested for l_j < l_i in blocks of rows
-    # holding at most _MASK_CELLS cells (or one longer window) each
-    preds, kept = [], []
-    i0 = 0
-    while i0 < n:
-        base = int(wend[i0] - width[i0])  # cells before row i0
-        i1 = max(i0 + 1, int(np.searchsorted(wend, base + _MASK_CELLS, "right")))
-        w = width[i0:i1]
-        # cell t of the block is j = lo_i + t - (cells before row i)
-        shift = np.repeat(lo[i0:i1] - (wend[i0:i1] - w - base), w)
-        cols = np.arange(int(wend[i1 - 1]) - base) + shift
-        hit = np.flatnonzero(l0[cols] < np.repeat(l[i0:i1], w))
-        preds.append(cols[hit])
-        kept.append(hit + base)
-        i0 = i1
-    start = np.concatenate(([0], np.searchsorted(np.concatenate(kept), wend)))
-    return a, b, np.concatenate(preds), start
+    return a, b, np.searchsorted(b, a)
 
 
-def _fill_table(inst: IntervalInstance, preds, start) -> np.ndarray:
+def _fill_table(inst: IntervalInstance, lo) -> np.ndarray:
     """f[i, S] for all positions i in 0..n and colour subsets S."""
     n, c = inst.n, inst.graph.c
     dtype = _table_dtype(n, c)
     f = np.full((n + 1, 1 << c), np.iinfo(dtype).max - n - c, dtype=dtype)
     f[0, 0] = 0
-    bounds = start.tolist()
-    for i, colour in enumerate(inst.colour_at, start=1):
-        s, e = bounds[i - 1], bounds[i]
-        if s == e:
-            continue
+    for i, (colour, j) in enumerate(zip(inst.colour_at, lo.tolist()), start=1):
         colbit = 1 << (colour - 1)
         # axis 1 of the (-1, 2, colbit) view splits subsets by the colour bit
-        best = np.minimum.reduce(f[preds[s:e]]).reshape(-1, 2, colbit)
+        best = np.minimum.reduce(f[j:i]).reshape(-1, 2, colbit)
         out = f[i].reshape(-1, 2, colbit)[:, 1]
         np.minimum(best[:, 0], best[:, 1], out=out)
         out += 1
     return f
 
 
-def _reconstruct(inst: IntervalInstance, preds, start, f, S: int, i: int):
+def _reconstruct(inst: IntervalInstance, lo, f, S: int, i: int):
     """Walk the recursion back from (i, S); returns sorted positions."""
     picks = []
     while i != 0:
@@ -192,7 +172,7 @@ def _reconstruct(inst: IntervalInstance, preds, start, f, S: int, i: int):
         rest = S & ~(1 << (inst.colour_at[i - 1] - 1))
         # the first predecessor, then the first of (rest, S), that gives f[i, S]
         step = next(
-            ((j, S2) for j in preds[start[i - 1] : start[i]].tolist() for S2 in (rest, S)
+            ((j, S2) for j in range(int(lo[i - 1]), i) for S2 in (rest, S)
              if f.item(j, S2) == target),
             None,
         )
@@ -216,8 +196,8 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
             f"c={c}, n={n}: the DP table needs {size} bytes, "
             f"over the limit of {TABLE_BYTES}"
         )
-    _, b, preds, start = _prefix_arrays(inst)
-    f = _fill_table(inst, preds, start)
+    _, b, lo = _prefix_arrays(inst)
+    f = _fill_table(inst, lo)
     # candidate end positions, where [1,i] dominates the whole graph: b is
     # non-decreasing, so they are the positions from the first b_i = n + 1 on
     first_end = int(np.searchsorted(b, n + 1))
@@ -231,7 +211,7 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     best_val = int(totals[e, best_S])
     # with l <= r on every interval, row n always holds a reachable total
     assert best_val <= n, "no prefix dominates the graph"
-    positions = _reconstruct(inst, preds, start, f, best_S, first_end + e)
+    positions = _reconstruct(inst, lo, f, best_S, first_end + e)
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
 

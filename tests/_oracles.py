@@ -128,14 +128,9 @@ def brute_prefix_tables(l, r):
 
     l and r are the endpoints by sorted position (position i is index i-1).
     a_i is the least j with r_j >= l_i; b_0 = 1 and b_j is the least k > j
-    with l_k > r_j, or n+1; P_i holds 0 when a_i = 1, then every j < i with
-    a_i <= b_j whose interval neither contains nor is contained in I_i.
+    with l_k > r_j, or n+1; P_i holds every j in 0..i-1 with b_j >= a_i.
     """
     n = len(l)
-
-    def contains(i, j):
-        return l[i - 1] <= l[j - 1] and r[j - 1] <= r[i - 1]
-
     a = []
     for i in range(1, n + 1):
         a.append(min(j for j in range(1, n + 1) if r[j - 1] >= l[i - 1]))
@@ -145,11 +140,7 @@ def brute_prefix_tables(l, r):
         b.append(min(later) if later else n + 1)
     P = []
     for i in range(1, n + 1):
-        preds = [0] if a[i - 1] == 1 else []
-        for j in range(1, i):
-            if a[i - 1] <= b[j] and not contains(i, j) and not contains(j, i):
-                preds.append(j)
-        P.append(tuple(preds))
+        P.append(tuple(j for j in range(i) if b[j] >= a[i - 1]))
     return tuple(a), tuple(b), tuple(P)
 
 

@@ -262,14 +262,17 @@ class TestGen:
         assert code == EXIT_OK
         assert parse_instance(pout.read_text()).graph.n > 9 * 3 + 3
 
-        # tails of 2^500 and 2^50 vertices, refused before anything is built
-        for epsilon in ("0.01", "0.1"):
+        # tails of 2^500, 2^50 and 2^(5 * 10^300) vertices, refused before
+        # anything is built, with the exponent in a few digits
+        for epsilon, bits in (("0.01", "500"), ("0.1", "50"), ("1e-300", "5e+300")):
             code, out, err = run(
                 capsys, "gen", "pad", "--input", str(vout), "--epsilon", epsilon,
                 "--out", str(pout),
             )
             assert code == EXIT_INPUT and out == ""
-            assert err.startswith(f"error: epsilon={epsilon} needs a tail of N = ceil(32^(1/epsilon))")
+            assert err.startswith(
+                f"error: epsilon={epsilon} needs a tail of N = ceil(32^(1/epsilon)) ~ 2^{bits} vertices,"
+            )
 
     @pytest.mark.parametrize("text, message", [
         ("", "need at least one edge"),

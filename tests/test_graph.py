@@ -1,4 +1,5 @@
 import dataclasses
+import re
 import sys
 import tracemalloc
 
@@ -97,6 +98,10 @@ class TestBuild:
             build(3, [(1, 2), (1, 2, 3)], [1, 1, 1])
         with pytest.raises(ValueError):
             build(3, [(1,)], [1, 1, 1])
+        # a cast would have read these as the edge (1,2)
+        for edge, shown in (((1, 2.5), "(1,2.5)"), ((1, "2"), "(1,'2')"), ((1.0, 2), "(1.0,2)")):
+            with pytest.raises(ValueError, match=re.escape(f"edge {shown} has a non-integer endpoint")):
+                build(3, [(2, 3), edge], [1, 1, 1])
 
     def test_edges_stored_sorted_as_ints(self):
         rng = np.random.default_rng(8)

@@ -165,6 +165,11 @@ class TestBuild:
         assert gamma_t(g).value == 2
         with pytest.raises(RepresentationMismatchError, match="vertex 2"):
             build_interval_instance(g, {1: (0, 16), 2: (28, 1)})
+        # NaN compares false both ways; accepted, it failed inside the DP
+        nan = float("nan")
+        for pairs, v in (({1: (nan, nan), 2: (5, 6)}, 1), ({1: (0, 1), 2: (5, nan)}, 2)):
+            with pytest.raises(RepresentationMismatchError, match=f"vertex {v}"):
+                build_interval_instance(build(2, [], [1, 2]), pairs)
 
     def test_order_sorted_by_right_endpoint_then_id(self):
         g = build(3, [(1, 2), (1, 3), (2, 3)], [1, 1, 1])
@@ -175,10 +180,9 @@ class TestBuild:
 
 
 def prefix_tables(inst):
-    """a, b and the predecessor lists P_i of the DP, as tuples."""
-    a, b, preds, start = interval._prefix_arrays(inst)
-    flat, start = preds.tolist(), start.tolist()
-    P = tuple(tuple(flat[s:e]) for s, e in zip(start, start[1:]))
+    """a, b and the predecessor windows P_i = lo_i..i-1 of the DP, as tuples."""
+    a, b, lo = interval._prefix_arrays(inst)
+    P = tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1))
     return tuple(a.tolist()), tuple(b.tolist()), P
 
 
@@ -201,10 +205,7 @@ class TestPrefixTables:
             n, edges, colours, pairs = random_interval_instance(rng, n_max=n_max, span=span)
             inst = build_interval_instance(build(n, edges, colours), pairs)
             assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
-
-    def test_matches_definition_oracle_across_row_blocks(self, monkeypatch):
-        # 500 intervals on [0, 40] meet most earlier ones: their windows
-        # {j : b_j >= a_i, r_j < r_i} hold more cells than one block
+        # 500 intervals on [0, 40] meet most earlier ones: long windows
         n = 500
         rng = np.random.default_rng(74)
         pairs = {v: tuple(sorted(int(x) for x in rng.integers(0, 41, size=2))) for v in range(1, n + 1)}
@@ -213,21 +214,14 @@ class TestPrefixTables:
             if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
         ]
         inst = build_interval_instance(build(n, edges, [1] * n), pairs)
-        a, b, P = brute_prefix_tables(inst.l, inst.r)
-        r0 = (float("-inf"),) + inst.r
-        cells = sum(b[j] >= a[i] and r0[j] < inst.r[i] for i in range(n) for j in range(n + 1))
-        assert cells > interval._MASK_CELLS
-        assert prefix_tables(inst) == (a, b, P)
-        # blocks of a few cells, and windows longer than a block
+        assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
         rng = np.random.default_rng(75)
-        for block in (1, 5, 64):
-            monkeypatch.setattr(interval, "_MASK_CELLS", block)
-            for _ in range(20):
-                n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
-                inst = build_interval_instance(build(n, edges, colours), pairs)
-                assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
-                if n <= 16:
-                    assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
+        for _ in range(60):
+            n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
+            inst = build_interval_instance(build(n, edges, colours), pairs)
+            assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
+            if n <= 16:
+                assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
 
     def test_b_marks_dominating_prefixes(self):
         # b_j = infinity exactly when intervals 1..j dominate everything
@@ -299,6 +293,22 @@ class TestTdn:
             tracemalloc.stop()
         assert res.value == c and is_tropical(g, res.witness) and is_dominating(g, res.witness)
         assert peak < 2.5 * table
+
+    def test_proper_clique_needs_no_predecessor_lists(self):
+        # every earlier position is a predecessor here, so a list of them per
+        # position would hold n^2 / 2 entries; the table itself is 9.4 KiB
+        n, c = 600, 3
+        g = build(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)],
+                  [1 + v % c for v in range(n)])
+        inst = build_interval_instance(g, {v: (v, v + n) for v in range(1, n + 1)})
+        tracemalloc.start()
+        try:
+            res = tdn_interval(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.value == c and is_tropical(g, res.witness)
+        assert peak < 2**20
 
     def test_matches_exact_oracle_random(self):
         rng = np.random.default_rng(73)
