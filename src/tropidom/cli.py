@@ -167,7 +167,7 @@ def _concentration(args):
 def _cmd_experiment(args) -> int:
     report, summary = args.run(args)
     if args.csv:
-        Path(args.csv).write_text("\n".join(report.csv_rows()) + "\n")
+        Path(args.csv).write_text("\n".join(report.csv_rows(args.timing)) + "\n")
     _emit({"command": "experiment", "experiment": args.experiment, "summary": summary}, args)
     return EXIT_OK
 

@@ -1,14 +1,15 @@
 """Exact solvers: minimum dominating set, minimum tropical dominating set,
 rainbow dominating set existence and counting.
 
-One depth-first search over bitmasks serves all four. It looks for a tropical
-dominating set of at most k vertices: ``gamma_t`` deepens k from a certified
+One depth-first search over bitmasks serves all four, one ``_search`` call per
+solve: it builds its tables once and looks for a tropical dominating set of at
+most k vertices for each k in turn. ``gamma_t`` deepens k from a certified
 lower bound to one below the greedy size, ``gamma`` is ``gamma_t`` of the
 one-coloured copy, and ``rainbow_exists`` and ``count_rainbow_ds`` run it at
 k = c, the latter counting the sets instead of stopping at the first. It
 branches on the undominated vertex with the fewest candidates, in increasing
-vertex id, so witnesses are deterministic. A node budget converts runaway
-instances into BudgetExceededError instead of hangs.
+vertex id, so witnesses are deterministic. One node budget across the rounds
+converts runaway instances into BudgetExceededError instead of hangs.
 """
 
 from __future__ import annotations
@@ -33,19 +34,6 @@ class RainbowResult(NamedTuple):
     exists: bool
     witness: frozenset[int] | None
     explored: int
-
-
-class _Counter:
-    __slots__ = ("nodes", "budget")
-
-    def __init__(self, budget):
-        self.nodes = 0
-        self.budget = budget
-
-    def tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise BudgetExceededError(f"node budget {self.budget} exhausted")
 
 
 def _greedy_cover(sets, target: int) -> list[int]:
@@ -100,34 +88,38 @@ def _lower_bound(g: ColouredGraph) -> int:
     return max(g.c, -(-g.n // max_cover))
 
 
-def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
-    """Search the tropical dominating sets of at most k vertices.
+def _search(g: ColouredGraph, ks, budget: int, count: bool = False):
+    """Search the tropical dominating sets of at most k vertices for each k in
+    ks until one round finds one. Returns (found, nodes): the first set as a
+    vertex list or None, or with ``count`` (and ks = [c]) the number of
+    rainbow dominating sets; nodes counts every round against one budget.
 
-    Returns the first set found as a vertex list, or None; with ``count`` set
-    (and k = c) returns how many rainbow dominating sets there are instead.
-
-    Singleton colour classes are committed up front. A node prunes when its
-    remaining picks times max|N[v]| fall short of the undominated vertices. A
-    node is tight when its remaining picks equal its missing colours: it may
-    take only vertices of unused colours, and prunes unless the unused colour
-    classes can still cover every undominated vertex. With one pick left the
-    node closes at once on the vertices that dominate every undominated one.
-    Otherwise it branches on the first undominated vertex with the fewest
-    candidates, in increasing id, and bars each tried vertex from its later
-    siblings, so every set is reached at most once and the count is exact.
+    The tables are built and the singleton colour classes committed once. A
+    node prunes when its remaining picks times max|N[v]| fall short of the
+    undominated vertices. A node is tight when its remaining picks equal its
+    missing colours: it may take only vertices of unused colours, and prunes
+    unless the unused colour classes can still cover every undominated vertex.
+    With one pick left the node closes at once on the vertices that dominate
+    every undominated one. Otherwise it branches on the first undominated
+    vertex with the fewest candidates, in increasing id, and bars each tried
+    vertex from its later siblings, so every set is reached at most once and
+    the count is exact.
     """
+    if not ks:
+        return None, 0
     full = g.full_mask
     closed = g.closed_mask
     colour_mask = g.colour_mask
     # per vertex: the bit of its colour and the mask of its colour class
-    colour_bit = [1 << (k - 1) for k in g.colour]
-    colour_class = [colour_mask[k - 1] for k in g.colour]
+    colour_bit = [1 << (c - 1) for c in g.colour]
+    colour_class = [colour_mask[c - 1] for c in g.colour]
     max_cover = max(m.bit_count() for m in closed)
     class_cover = [0] * g.c
     for c, m in enumerate(colour_mask):
         for i in _iter_bits(m):
             class_cover[c] |= closed[i]
     fail = 0 if count else None
+    nodes = 0
 
     # allowed: vertices not barred, narrowed to fresh at tight nodes;
     # fresh: allowed vertices of unused colours. The bit loops below take
@@ -135,7 +127,10 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
     def dfs(
         unused: int, covered: int, allowed: int, fresh: int, chosen: list[int], remaining: int
     ):
-        counter.tick()
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"node budget {budget} exhausted")
         if covered == full:
             if not count:
                 return complete_colours(g, chosen)
@@ -202,18 +197,18 @@ def _dfs(g: ColouredGraph, k: int, counter: _Counter, count: bool):
             unused &= ~(1 << c)
             covered |= closed[m.bit_length() - 1]
             fresh &= ~m
-    return dfs(unused, covered, full, fresh, chosen, k - len(chosen))
+    for k in ks:
+        found = dfs(unused, covered, full, fresh, chosen, k - len(chosen))
+        if found is not None:
+            break
+    return found, nodes
 
 
 def _solve(g: ColouredGraph, budget: int) -> SolveResult:
-    counter = _Counter(budget)
-    best = sorted(complete_colours(g, greedy_dominating(g)))
-    for k in range(_lower_bound(g), len(best)):
-        found = _dfs(g, k, counter, count=False)
-        if found is not None:
-            best = found
-            break
-    return SolveResult(value=len(best), witness=frozenset(best), explored=counter.nodes)
+    greedy = sorted(complete_colours(g, greedy_dominating(g)))
+    found, nodes = _search(g, range(_lower_bound(g), len(greedy)), budget)
+    best = found or greedy
+    return SolveResult(value=len(best), witness=frozenset(best), explored=nodes)
 
 
 def gamma(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> SolveResult:
@@ -232,13 +227,12 @@ def rainbow_exists(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> RainbowRes
     Returns (exists, witness_or_None, explored), where explored counts the
     search nodes.
     """
-    counter = _Counter(budget)
-    witness = _dfs(g, g.c, counter, count=False)
+    witness, nodes = _search(g, [g.c], budget)
     if witness is None:
-        return RainbowResult(False, None, counter.nodes)
-    return RainbowResult(True, frozenset(witness), counter.nodes)
+        return RainbowResult(False, None, nodes)
+    return RainbowResult(True, frozenset(witness), nodes)
 
 
 def count_rainbow_ds(g: ColouredGraph, budget: int = DEFAULT_BUDGET) -> int:
     """Exact number of rainbow dominating sets (the realization of X_c)."""
-    return _dfs(g, g.c, _Counter(budget), count=True)
+    return _search(g, [g.c], budget, count=True)[0]

@@ -62,15 +62,17 @@ class ExperimentReport:
             "failures": sum(1 for r in self.records if r.error),
         }
 
-    def csv_rows(self) -> list[str]:
-        head = "trial,seed,n,p,c,outcome,statistic,runtime_ms"
-        rows = [head]
+    def csv_rows(self, timing: bool = False) -> list[str]:
+        """Header and one row per trial; the runtime_ms column, a measurement
+        that differs from run to run, only with ``timing``."""
+        rows = ["trial,seed,n,p,c,outcome,statistic" + (",runtime_ms" if timing else "")]
         for r in self.records:
             rows.append(
                 f"{r.trial},{r.seed[0]}:{r.seed[1]},{self.params.get('n')},"
                 f"{self.params.get('p')},{self.params.get('c')},"
                 f"{'' if r.outcome is None else r.outcome},"
-                f"{'' if r.statistic is None else r.statistic},{r.runtime_ms:.3f}"
+                f"{'' if r.statistic is None else r.statistic}"
+                + (f",{r.runtime_ms:.3f}" if timing else "")
             )
         return rows
 

@@ -382,10 +382,8 @@ def test_criterion_11_cli_determinism(capsys, tmp_path):
                 (tmp_path / "t.csv").read_text(),
             )
         )
-    # timing columns in the per-trial CSV are measurements, not derived data;
-    # byte-identity is required of instance files and JSON reports
-    ok = snapshots[0][:2] == snapshots[1][:2] and snapshots[0][0] == snapshots[1][0]
+    ok = snapshots[0] == snapshots[1]
     verdict(capsys, 11, "CLI determinism", ok,
-            "gen/solve/experiment reports and instance files byte-identical "
-            "across consecutive runs")
+            "gen/solve/experiment reports, instance files and experiment CSVs "
+            "byte-identical across consecutive runs")
     assert ok

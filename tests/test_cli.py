@@ -350,7 +350,14 @@ class TestExperiment:
         assert report["summary"]["trials"] == 5
         assert "success_fraction" in report["summary"]
         lines = csv.read_text().splitlines()
-        assert lines[0].startswith("trial,seed") and len(lines) == 6
+        assert lines[0] == "trial,seed,n,p,c,outcome,statistic" and len(lines) == 6
+        code, _, _ = run(
+            capsys, "experiment", "threshold", "-n", "12", "-p", "0.5", "-c", "2",
+            "--trials", "5", "--seed", "4", "--csv", str(csv), "--timing",
+        )
+        timed = csv.read_text().splitlines()
+        assert code == EXIT_OK and timed[0] == lines[0] + ",runtime_ms"
+        assert [row.rsplit(",", 1)[0] for row in timed] == lines
 
     def test_concentration_reports_window(self, capsys):
         code, out, _ = run(
@@ -435,7 +442,7 @@ GOLDEN_CASES = {
 
 def golden_outputs() -> dict:
     """Exit code and stdout of every golden case, run in order in the working
-    directory, plus the experiment CSVs without their runtime_ms column."""
+    directory, plus the experiment CSVs."""
     Path("cover.edges").write_text("1 2\n2 3\n1 3\n3 4\n")
     outputs = {}
     for name, argv in GOLDEN_CASES.items():
@@ -444,8 +451,7 @@ def golden_outputs() -> dict:
             code = main(argv)
         outputs[name] = {"code": code, "stdout": stdout.getvalue()}
         if "--csv" in argv:
-            rows = Path(argv[-1]).read_text().splitlines()
-            outputs[name]["csv"] = [row.rsplit(",", 1)[0] for row in rows]
+            outputs[name]["csv"] = Path(argv[-1]).read_text().splitlines()
     return outputs
 
 

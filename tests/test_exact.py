@@ -266,17 +266,6 @@ def test_pinned_gamma_and_gamma_t(n, p, c, seed, want_gamma, want_gamma_t):
         assert (res.value, sorted(res.witness), res.explored) == want
 
 
-@pytest.mark.parametrize("n, p, c, seed", [PINNED[i][:4] for i in (2, 13, 18, 22, 28)])
-def test_budget_counts_the_reported_nodes(n, p, c, seed):
-    g = gen_gnpc(n, p, c, seed=seed)
-    for solve in (gamma, gamma_t, rainbow_exists):
-        res = solve(g)
-        assert solve(g, budget=res.explored) == res
-        if res.explored >= 1:
-            with pytest.raises(BudgetExceededError):
-                solve(g, budget=res.explored - 1)
-
-
 # (n, p, c, seed, rainbow_exists as (exists, sorted witness, explored),
 # count_rainbow_ds): G(n, 1/2, 3) threshold trials on yes and no answers, and
 # sparse many-colour graphs of TestRainbowSearch. Pinned like PINNED above.
@@ -303,3 +292,24 @@ def test_pinned_rainbow(n, p, c, seed, want_exists, want_count):
     witness = None if res.witness is None else sorted(res.witness)
     assert (res.exists, witness, res.explored) == want_exists
     assert count_rainbow_ds(g) == want_count
+
+
+BUDGET_ROWS = [PINNED[i][:4] for i in (2, 13, 18, 22, 28)]
+
+
+@pytest.mark.parametrize("n, p, c, seed", BUDGET_ROWS + [row[:4] for row in RAINBOW_PINNED])
+def test_budget_counts_the_reported_nodes(n, p, c, seed):
+    g = gen_gnpc(n, p, c, seed=seed)
+    # gamma takes seconds on the ten-colour rainbow rows
+    solvers = (gamma, gamma_t) if (n, p, c, seed) in BUDGET_ROWS else ()
+    for solve in (*solvers, rainbow_exists):
+        res = solve(g)
+        assert solve(g, budget=res.explored) == res
+        if res.explored >= 1:
+            with pytest.raises(BudgetExceededError):
+                solve(g, budget=res.explored - 1)
+    # counting walks the existence search's tree and, past a witness, more
+    with pytest.raises(BudgetExceededError):
+        count_rainbow_ds(g, budget=res.explored - 1)
+    if not res.exists:
+        assert count_rainbow_ds(g, budget=res.explored) == 0

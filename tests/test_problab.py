@@ -108,8 +108,11 @@ class TestExperiments:
         model = RandomModel(10, 0.5, 2, seed=1)
         rep = run_threshold_experiment(model, 3)
         rows = rep.csv_rows()
-        assert rows[0] == "trial,seed,n,p,c,outcome,statistic,runtime_ms"
+        assert rows[0] == "trial,seed,n,p,c,outcome,statistic"
         assert len(rows) == 4
+        timed = rep.csv_rows(timing=True)
+        assert timed[0] == "trial,seed,n,p,c,outcome,statistic,runtime_ms"
+        assert [row.rsplit(",", 1)[0] for row in timed] == rows
 
     def test_json_dict_excludes_timing(self):
         model = RandomModel(10, 0.5, 2, seed=1)
