@@ -61,7 +61,6 @@ from .problab import (
     run_expectation_experiment,
     run_threshold_experiment,
     search_conjecture,
-    success_fraction,
     threshold_colours,
 )
 

@@ -144,31 +144,16 @@ def _cmd_audit(args) -> int:
     return EXIT_OK
 
 
-def _threshold(args):
+def _model(args) -> problab.RandomModel:
     c = args.c if args.c is not None else problab.threshold_colours(args.n, args.p)
-    model = problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
-    report = problab.run_threshold_experiment(model, args.trials, budget=args.budget)
-    return report, {**report.to_json_dict(), "success_fraction": problab.success_fraction(report)}
-
-
-def _expectation(args):
-    model = problab.RandomModel(n=args.n, p=args.p, c=args.c, seed=args.seed)
-    report = problab.run_expectation_experiment(model, args.trials, budget=args.budget)
-    return report, report.to_json_dict()
-
-
-def _concentration(args):
-    report = problab.run_concentration_experiment(
-        args.n, args.p, args.trials, seed=args.seed, budget=args.budget
-    )
-    return report, {**report.to_json_dict(), "window": report.params["window"]}
+    return problab.RandomModel(n=args.n, p=args.p, c=c, seed=args.seed)
 
 
 def _cmd_experiment(args) -> int:
-    report, summary = args.run(args)
+    report = args.run(args)
     if args.csv:
         Path(args.csv).write_text("\n".join(report.csv_rows(args.timing)) + "\n")
-    _emit({"command": "experiment", "experiment": args.experiment, "summary": summary}, args)
+    _emit({"command": "experiment", "experiment": args.experiment, "summary": report.to_json_dict()}, args)
     return EXIT_OK
 
 
@@ -232,11 +217,14 @@ def build_parser() -> argparse.ArgumentParser:
     kinds = sub.add_parser("experiment", help="run a seeded Monte-Carlo experiment").add_subparsers(
         dest="experiment", required=True
     )
-    # name, what it runs, and how it takes -c (None: not at all)
+    # name, the report it runs, and how it takes -c (None: not at all)
     for name, run, c in [
-        ("threshold", _threshold, {"help": "default: the threshold formula's colour count"}),
-        ("expectation", _expectation, {"required": True}),
-        ("concentration", _concentration, None),
+        ("threshold", lambda a: problab.run_threshold_experiment(_model(a), a.trials, budget=a.budget),
+         {"help": "default: the threshold formula's colour count"}),
+        ("expectation", lambda a: problab.run_expectation_experiment(_model(a), a.trials, budget=a.budget),
+         {"required": True}),
+        ("concentration", lambda a: problab.run_concentration_experiment(
+            a.n, a.p, a.trials, seed=a.seed, budget=a.budget), None),
     ]:
         p = kinds.add_parser(name)
         p.add_argument("-n", type=int, required=True)

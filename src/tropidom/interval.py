@@ -12,8 +12,8 @@ row-contiguously, one row of all 2^c subsets per position i, in the smallest
 unsigned integer dtype that holds 2n + c + 1. Each row is filled by numpy
 from one contiguous window of earlier rows, the positions lo_i..i-1 with
 b_j >= a_i, so the fill is O(2^c * sum (i - lo_i)), in the worst case
-O(2^c n^2); besides the table, the only buffer that grows with n is the
-final sums.
+O(2^c n^2). The final sums are taken one end row at a time in one
+row-sized buffer, so no other buffer is wider than a row.
 """
 
 from __future__ import annotations
@@ -201,17 +201,30 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     # candidate end positions, where [1,i] dominates the whole graph: b is
     # non-decreasing, so they are the positions from the first b_i = n + 1 on
     first_end = int(np.searchsorted(b, n + 1))
+    # missing[S] = c - |S|, doubled one colour bit at a time in the table's
+    # dtype, so no buffer besides the table is wider than a row
+    missing = np.full(1, c, dtype=f.dtype)
+    for _ in range(c):
+        missing = np.concatenate((missing, missing - 1))
     # total size per (end, subset): the prefix set plus one vertex per
-    # missing colour; the row-major argmin takes the least end, then subset.
-    # A reachable total is at most n and an unreachable cell is above n; the
-    # table's headroom keeps the sums in its dtype.
-    missing = (c - np.bitwise_count(np.arange(1 << c))).astype(f.dtype)
-    totals = f[first_end:] + missing
-    e, best_S = divmod(int(totals.argmin()), 1 << c)
-    best_val = int(totals[e, best_S])
+    # missing colour. A reachable total is at most n and an unreachable cell
+    # is above n; the table's headroom keeps the sums in its dtype. The end
+    # rows are summed in order into one row buffer, and a row replaces the
+    # best only when it is strictly smaller, so the least end wins, then the
+    # least subset; no tropical set has fewer than c vertices, so a row that
+    # reaches c ends the walk.
+    totals = np.empty_like(missing)
+    best_val = n + 1
+    for end in range(first_end, n + 1):
+        np.add(f[end], missing, out=totals)
+        S = int(totals.argmin())
+        if totals[S] < best_val:
+            best_val, best_end, best_S = int(totals[S]), end, S
+            if best_val == c:
+                break
     # with l <= r on every interval, row n always holds a reachable total
     assert best_val <= n, "no prefix dominates the graph"
-    positions = _reconstruct(inst, lo, f, best_S, first_end + e)
+    positions = _reconstruct(inst, lo, f, best_S, best_end)
     witness = complete_colours(g, (inst.order[p - 1] for p in positions))
     return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
 

@@ -122,46 +122,33 @@ def concentration_window(n: int, p: float) -> tuple[int, int]:
     return (low, low + 1)
 
 
-def _run_trials(seed: int, trials: int, trial) -> list[TrialRecord]:
-    """Record trial(rng_seed) -> (outcome, statistic) for t in range(trials);
-    a trial that exhausts its node budget becomes an error record."""
+def _experiment(
+    kind: str, params: dict, trials: int, trial, reference=None, binary=True
+) -> ExperimentReport:
+    """Record trial(rng_seed) -> (outcome, statistic) for t in range(trials),
+    with rng_seed [params["seed"], t]; a trial that exhausts its node budget
+    becomes an error record. The summary is the mean m of the k completed
+    trials' statistics and its standard error: sqrt(m(1-m)/k) for binary
+    statistics, else the sample standard deviation over sqrt(k)."""
+    seed = int(params["seed"])
     records = []
     for t in range(trials):
-        tseed = (int(seed), t)
         t0 = time.perf_counter()
         try:
-            outcome, stat = trial(list(tseed))
+            outcome, stat = trial([seed, t])
             error = None
         except BudgetExceededError as exc:
             outcome, stat, error = None, None, str(exc)
-        records.append(TrialRecord(t, tseed, outcome, stat, (time.perf_counter() - t0) * 1e3, error))
-    return records
-
-
-def _mean_stderr(values: list, binary: bool) -> tuple[float | None, float | None]:
-    """Sample mean and its standard error; binary values use sqrt(m(1-m)/k)."""
-    if not values:
-        return None, None
-    mean = float(np.mean(values))
-    if len(values) == 1:
-        return mean, None
-    if binary:
-        return mean, float(math.sqrt(mean * (1 - mean) / len(values)))
-    return mean, float(np.std(values, ddof=1) / math.sqrt(len(values)))
-
-
-def _rainbow_trials(model: RandomModel, trials: int, budget: int, counting: bool):
-    """Per trial: existence of a rainbow dominating set in G(n,p,c) and, when
-    counting, their exact number (existence is then count > 0)."""
-
-    def trial(seed):
-        g = forge.gen_gnpc(model.n, model.p, model.c, seed=seed)
-        if counting:
-            count = exact.count_rainbow_ds(g, budget=budget)
-            return count > 0, count
-        return exact.rainbow_exists(g, budget=budget).exists, None
-
-    return _run_trials(model.seed, trials, trial)
+        records.append(TrialRecord(t, (seed, t), outcome, stat, (time.perf_counter() - t0) * 1e3, error))
+    values = [r.statistic for r in records if r.error is None]
+    mean = float(np.mean(values)) if values else None
+    stderr = None
+    if len(values) > 1:
+        if binary:
+            stderr = float(math.sqrt(mean * (1 - mean) / len(values)))
+        else:
+            stderr = float(np.std(values, ddof=1) / math.sqrt(len(values)))
+    return ExperimentReport(kind, params, trials, records, mean, reference, stderr)
 
 
 def _model_params(model: RandomModel) -> dict:
@@ -171,32 +158,18 @@ def _model_params(model: RandomModel) -> dict:
 def run_threshold_experiment(
     model: RandomModel, trials: int, budget: int = exact.DEFAULT_BUDGET
 ) -> ExperimentReport:
-    """Sample G(n,p,c) and test rainbow dominating set existence per trial.
+    """Sample G(n,p,c) and decide whether it has a rainbow dominating set.
 
-    outcome: True/False existence; statistic: exact rainbow-DS count when
-    n <= 16, small enough to enumerate. The summary is the mean count against
-    its expectation when counted, else the fraction of trials with a set.
+    outcome: True/False existence; statistic: 1/0, so the summary is the
+    fraction of completed trials that have a set.
     """
-    counting = model.n <= 16
-    records = _rainbow_trials(model, trials, budget, counting)
-    done = [r for r in records if r.error is None]
-    if counting and done:
-        mean, stderr = _mean_stderr([r.statistic for r in done], binary=False)
-        reference = expected_rainbow_count(model)
-    else:
-        mean, stderr = _mean_stderr([1.0 if r.outcome else 0.0 for r in done], binary=True)
-        reference = None
-    return ExperimentReport(
-        "threshold", _model_params(model), trials, records,
-        empirical_mean=mean, reference_value=reference, stderr=stderr,
-    )
 
+    def trial(seed):
+        g = forge.gen_gnpc(model.n, model.p, model.c, seed=seed)
+        exists = exact.rainbow_exists(g, budget=budget).exists
+        return exists, int(exists)
 
-def success_fraction(report: ExperimentReport) -> float:
-    done = [r for r in report.records if r.outcome is not None]
-    if not done:
-        return 0.0
-    return sum(1 for r in done if r.outcome) / len(done)
+    return _experiment("threshold", _model_params(model), trials, trial)
 
 
 def run_concentration_experiment(
@@ -210,25 +183,23 @@ def run_concentration_experiment(
         value = exact.gamma(forge.gen_gnpc(n, p, 1, seed=tseed), budget=budget).value
         return value, int(window[0] <= value <= window[1])
 
-    records = _run_trials(seed, trials, trial)
-    mean, stderr = _mean_stderr([float(r.statistic) for r in records if r.error is None], binary=True)
     params = {"n": n, "p": p, "c": 1, "seed": seed, "window": list(window)}
-    return ExperimentReport(
-        "concentration", params, trials, records,
-        empirical_mean=mean, reference_value=1.0, stderr=stderr,
-    )
+    return _experiment("concentration", params, trials, trial, reference=1.0)
 
 
 def run_expectation_experiment(
     model: RandomModel, trials: int, budget: int = exact.DEFAULT_BUDGET
 ) -> ExperimentReport:
-    """Mean exact rainbow-DS count vs the closed-form expectation."""
-    records = _rainbow_trials(model, trials, budget, counting=True)
-    mean, stderr = _mean_stderr([r.statistic for r in records if r.error is None], binary=False)
-    return ExperimentReport(
-        "expectation", _model_params(model), trials, records,
-        empirical_mean=mean, reference_value=expected_rainbow_count(model), stderr=stderr,
-    )
+    """Exact rainbow-DS count per trial; outcome is whether one exists, the
+    summary is the mean count against the closed-form expectation."""
+    reference = expected_rainbow_count(model)
+
+    def trial(seed):
+        g = forge.gen_gnpc(model.n, model.p, model.c, seed=seed)
+        count = exact.count_rainbow_ds(g, budget=budget)
+        return count > 0, count
+
+    return _experiment("expectation", _model_params(model), trials, trial, reference, binary=False)
 
 
 @dataclass(frozen=True)
@@ -291,19 +262,19 @@ def audit_bounds(g: ColouredGraph, gt: int, gamma_val: int) -> BoundsReport:
     ))
 
 
-def _restricted_growth_colourings(n: int, c_max: int):
+def _restricted_growth_colourings(n: int, c_max: int) -> np.ndarray:
     """Surjective colourings of n vertices with <= c_max colours, one
-    representative per colour permutation class (first-occurrence order)."""
-    def rec(prefix, used):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for k in range(1, min(used + 1, c_max) + 1):
-            prefix.append(k)
-            yield from rec(prefix, max(used, k))
-            prefix.pop()
-
-    yield from rec([], 0)
+    representative per colour permutation class (first-occurrence order), as
+    the rows of a (colourings, n) array in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int64)
+    for _ in range(n):
+        # a row may repeat a colour it has used or take the next new one
+        options = np.minimum(rows.max(axis=1, initial=0) + 1, c_max)
+        starts = np.cumsum(options) - options
+        rows = np.repeat(rows, options, axis=0)
+        colour = np.arange(len(rows)) - np.repeat(starts, options) + 1
+        rows = np.column_stack((rows, colour))
+    return rows
 
 
 def _connected_graphs_upto(max_n: int):
@@ -342,35 +313,35 @@ def search_conjecture(max_n: int, c_max: int = 3) -> ConjectureReport:
     graphs = 0
     colourings = 0
     counterexamples = []
+    by_n = {}  # n -> the colourings with c < n, their c, and tropical[r, s]
     for g in _connected_graphs_upto(max_n):
         graphs += 1
         n = g.n
-        delta = degree_profile(g).delta
         subs = np.arange(1 << n, dtype=np.int64)
+        if n not in by_n:
+            rows = _restricted_growth_colourings(n, c_max)
+            rows = rows[rows.max(axis=1) < n]
+            # class_mask[r, k-1]: the vertices of colour k under colouring r
+            in_class = rows[:, None, :] == np.arange(1, c_max + 1)[:, None]
+            class_mask = (in_class @ (1 << np.arange(n, dtype=np.int64)))[:, :, None]
+            # subset s is tropical under colouring r when it hits every nonempty class
+            tropical = (((subs & class_mask) != 0) | (class_mask == 0)).all(axis=1)
+            by_n[n] = rows, rows.max(axis=1), tropical
+        rows, c, tropical = by_n[n]
+        colourings += len(rows)
         cover = np.zeros(1 << n, dtype=np.int64)
         for i in range(n):
             hit = (subs >> i) & 1 == 1
             cover[hit] |= g.closed_mask[i]
         dominating = cover == g.full_mask
-        popcnt = np.array([s.bit_count() for s in range(1 << n)], dtype=np.int64)
-        for colouring in _restricted_growth_colourings(n, c_max):
-            c = max(colouring)
-            if c >= n:
-                continue
-            colourings += 1
-            ok = dominating.copy()
-            for k in range(1, c + 1):
-                cmask = 0
-                for i, col in enumerate(colouring):
-                    if col == k:
-                        cmask |= 1 << i
-                ok &= (subs & cmask) != 0
-            gt = int(popcnt[ok].min())
-            bound = (n - c + 1) * delta / (3 * delta - 1) + c - 1
-            if gt > bound:
-                counterexamples.append(
-                    {"n": n, "edges": list(g.edges), "colouring": list(colouring), "gamma_t": gt, "bound": bound}
-                )
+        gt = np.where(dominating & tropical, np.bitwise_count(subs), n).min(axis=1)
+        delta = degree_profile(g).delta
+        bound = (n - c + 1) * delta / (3 * delta - 1) + c - 1
+        for r in np.flatnonzero(gt > bound).tolist():
+            counterexamples.append({
+                "n": n, "edges": g.edge_array.tolist(), "colouring": rows[r].tolist(),
+                "gamma_t": int(gt[r]), "bound": float(bound[r]),
+            })
     return ConjectureReport(
         graphs_checked=graphs,
         colourings_checked=colourings,

@@ -45,7 +45,6 @@ from tropidom import (
     run_threshold_experiment,
     sat_to_path,
     search_conjecture,
-    success_fraction,
     tdn_interval,
     threshold_colours,
     vc_to_path,
@@ -314,7 +313,7 @@ def test_criterion_08_threshold_experiment_soft(capsys):
     c = threshold_colours(200, 0.5)
     assert c == 4
     rep = run_threshold_experiment(RandomModel(200, 0.5, c, seed=8008), 50)
-    frac = success_fraction(rep)
+    frac = rep.empirical_mean
     elapsed = time.perf_counter() - t0
     ok = frac >= 0.9 and elapsed < 600
     verdict(capsys, 8, "threshold success (soft)", ok,

@@ -14,7 +14,6 @@ from tropidom import (
     run_expectation_experiment,
     run_threshold_experiment,
     search_conjecture,
-    success_fraction,
     threshold_colours,
 )
 from tropidom import extremal_edge_bound, extremal_gamma_plus, gen_gnpc
@@ -76,8 +75,17 @@ class TestExperiments:
         r1 = run_threshold_experiment(model, 20)
         r2 = run_threshold_experiment(model, 20)
         assert [t.outcome for t in r1.records] == [t.outcome for t in r2.records]
-        assert 0.0 <= success_fraction(r1) <= 1.0
+        assert r1.empirical_mean == r2.empirical_mean
         assert r1.records[0].seed == (5, 0)
+
+    def test_threshold_decides_existence(self):
+        # at every n, the summary is the fraction of completed trials that
+        # have a rainbow dominating set; there is no reference value
+        rep = run_threshold_experiment(RandomModel(12, 0.5, 2, seed=5), 20)
+        done = [t for t in rep.records if t.error is None]
+        assert done and rep.reference_value is None
+        assert rep.empirical_mean == sum(t.outcome is True for t in done) / len(done)
+        assert all(t.statistic == int(t.outcome) and t.statistic in (0, 1) for t in done)
 
     def test_threshold_c1_means_dominating_vertex(self):
         # with one colour a size-c tropical dominating set is a single

@@ -1,3 +1,4 @@
+import doctest
 import os
 import subprocess
 import sys
@@ -19,13 +20,13 @@ PUBLIC_NAMES = [
     "parse_dimacs_cnf", "parse_instance", "path_five_thirds", "path_intervals",
     "path_lower_bound", "path_order", "problab", "rainbow_exists",
     "run_concentration_experiment", "run_expectation_experiment", "run_threshold_experiment",
-    "sat_to_path", "search_conjecture", "success_fraction", "tdn_interval",
+    "sat_to_path", "search_conjecture", "tdn_interval",
     "threshold_colours", "vc_to_path", "write_instance",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 58
+    assert len(PUBLIC_NAMES) == 57
     assert sorted(tropidom.__all__) == PUBLIC_NAMES
 
 
@@ -40,3 +41,13 @@ def test_import_leaves_mpmath_unloaded():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout == "False\n"
+
+
+def test_readme_example():
+    """README.md's python block is a doctest, so its shown results are checked."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README.md", "README.md", 0)
+    report = []
+    result = doctest.DocTestRunner().run(test, out=report.append)
+    assert result.attempted and not result.failed, "".join(report)
