@@ -316,9 +316,8 @@ def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:
     """Back-translate a tropical dominating set of the reduction path into a
     vertex cover of the source subcubic graph.
 
-    Pushes the picks of every black triplet onto the blocks, then takes v_j
-    whenever block j holds more than two picks: normalising such a block
-    replaces its picks by its three edge slots.
+    v_j is in the cover when block j holds more than two picks, where a pick
+    on the black triplet end beside an end slot counts as a pick on that slot.
     """
     if art.meta.get("kind") != "vc":
         raise WrongArtifactError("artifact was not produced by vc_to_path")
@@ -326,27 +325,14 @@ def extract_vc(art: ReductionArtifact, sigma) -> frozenset[int]:
     sigma = set(sigma)
     if not (gc.is_dominating(g, sigma) and gc.is_tropical(g, sigma)):
         raise NotTropicalDominatingError("sigma is not a tropical dominating set")
-    n = art.meta["n"]
-
-    # normalization step 1: push first/third picks of every black triplet
-    # onto their block-side neighbours (they dominate more of the path there)
-    pushed = set(sigma)
-    triplets = [1] + [art.anchors[f"V_{j}"] for j in range(1, n + 1)]
-    for j, first in enumerate(triplets):
-        third = first + 2
-        if first in pushed and j > 0:
-            pushed.discard(first)
-            pushed.add(first - 1)  # last slot of block j
-        if third in pushed and j < n:
-            pushed.discard(third)
-            pushed.add(third + 1)  # first slot of block j+1
-
-    # per 6-block: exactly two picks normalise to the two inner blacks and
-    # leave v_j out; more than two normalise to the three edge slots, v_j in
+    # a triplet end dominates more of the path on the block slot beside it;
+    # exactly two picks normalise to the two inner blacks and leave v_j out,
+    # more than two normalise to the three edge slots and put v_j in
     cover = set()
-    for j in range(1, n + 1):
+    for j in range(1, art.meta["n"] + 1):
         base = art.anchors[f"block_{j}"]
-        picked = sum(p in pushed for p in range(base, base + 6))
+        ends = (base - 1 in sigma or base in sigma) + (base + 5 in sigma or base + 6 in sigma)
+        picked = ends + sum(p in sigma for p in range(base + 1, base + 5))
         assert picked >= 2, "a tropical dominating set places >= 2 picks per block"
         if picked > 2:
             cover.add(j)

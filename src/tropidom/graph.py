@@ -73,12 +73,6 @@ class ColouredGraph:
         return (1 << self.n) - 1
 
     @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """The rows of edge_array as a tuple of int pairs, built on first read."""
-        lo, hi = self.edge_array.T.tolist()
-        return tuple(zip(lo, hi))
-
-    @cached_property
     def closed_mask(self) -> tuple[int, ...]:
         """closed_mask[v-1] = bitmask of the closed neighbourhood N[v].
 

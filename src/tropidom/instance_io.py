@@ -24,6 +24,10 @@ found from its mask, and the earliest of those lines is reported.
 The writer gives the canonical text: legend comments, the header, v lines in
 id order, then the e lines in the sorted order build stores, formatted by one
 %-call from the (m, 2) edge array the graph keeps, then any i lines by id.
+Before writing anything it refuses what the parser would reject or read back
+differently: intervals that miss a vertex or have l > r
+(RepresentationMismatchError), and a non-integer endpoint or legend colour or
+a legend label that is empty or holds whitespace (ValueError).
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import graph
-from .errors import GraphBuildError, ParseError
+from .errors import GraphBuildError, ParseError, RepresentationMismatchError
 from .graph import ColouredGraph
 
 
@@ -246,13 +250,31 @@ def write_instance(
     intervals: dict[int, tuple[int, int]] | None = None,
     legend: dict[int, str] | None = None,
 ) -> str:
+    for k, label in (legend or {}).items():
+        if not (type(k) is int or isinstance(k, np.integer)):
+            raise ValueError(f"legend colour {k!r} is not an integer")
+        if not isinstance(label, str) or label.split() != [label]:
+            raise ValueError(f"legend label {label!r} of colour {k} is empty or holds whitespace")
+    interval_lines = []
+    if intervals is not None:
+        if len(intervals) != g.n:
+            raise RepresentationMismatchError(f"expected {g.n} intervals, got {len(intervals)}")
+        for v in g.vertices:
+            if v not in intervals:
+                raise RepresentationMismatchError(f"vertex {v} has no interval")
+            lv, rv = intervals[v]
+            # bool is an int subclass that would be written as True or False
+            if not (type(lv) is int or isinstance(lv, np.integer)) or not (
+                type(rv) is int or isinstance(rv, np.integer)
+            ):
+                raise ValueError(f"vertex {v}: interval [{lv},{rv}] has a non-integer endpoint")
+            if lv > rv:
+                raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
+            interval_lines.append(f"i {v} {lv} {rv}\n")
     lines = []
     for k in sorted(legend or {}):
         lines.append(f"# legend {k} {legend[k]}")
     lines.append(f"p tdgs {g.n} {g.m} {g.c}")
     lines.extend(f"v {v} {g.colour[v - 1]}" for v in g.vertices)
     edge_lines = ("e %d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
-    interval_lines = "".join(
-        f"i {v} {intervals[v][0]} {intervals[v][1]}\n" for v in sorted(intervals or {})
-    )
-    return "\n".join(lines) + "\n" + edge_lines + interval_lines
+    return "\n".join(lines) + "\n" + edge_lines + "".join(interval_lines)

@@ -10,10 +10,11 @@ The table f(S, i) holds the least size of an i-prefix dominating set whose
 last pick is i, covering exactly the colour subset S; it is stored
 row-contiguously, one row of all 2^c subsets per position i, in the smallest
 unsigned integer dtype that holds 2n + c + 1. Each row is filled by numpy
-from one contiguous window of earlier rows, the positions lo_i..i-1 with
-b_j >= a_i, so the fill is O(2^c * sum (i - lo_i)), in the worst case
-O(2^c n^2). The final sums are taken one end row at a time in one
-row-sized buffer, so no other buffer is wider than a row.
+from one contiguous window of earlier rows, the positions lo_i..i-1 that no
+position before a_i misses, read off one running maximum; the fill is
+O(2^c * sum (i - lo_i)), in the worst case O(2^c n^2). The final sums are
+taken one end row at a time in one row-sized buffer, so no other buffer is
+wider than a row.
 """
 
 from __future__ import annotations
@@ -70,7 +71,7 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
     n, ends = g.n, np.array(pairs)
     order = np.argsort(ends[:, 1], kind="stable")  # by (r, id)
     # with r sorted and l <= r, position i meets exactly the positions a_i..i-1
-    # before it, the rule _prefix_arrays uses
+    # before it, the rule _windows uses
     a = np.searchsorted(ends[order, 1], ends[order, 0])
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
@@ -123,28 +124,24 @@ def _table_dtype(n: int, c: int) -> np.dtype:
     return np.min_scalar_type(2 * n + c + 1)
 
 
-def _prefix_arrays(inst: IntervalInstance):
-    """a (by position), b (by j in 0..n) and lo (by position).
+def _windows(inst: IntervalInstance):
+    """lo (by position) and the first end position of the DP.
 
-    Position i extends exactly the prefix sets whose last pick j lies in the
-    window lo_i..i-1, the j < i with b_j >= a_i (b is non-decreasing). Such a
-    set dominates positions 1..j; positions j+1..a_i-1 lie before b_j, so they
-    meet j; positions a_i..i meet i. Every set the DP builds therefore
-    dominates its prefix, and the window holds every predecessor whose
-    interval neither contains nor is contained in I_i, through which a
-    minimum tropical dominating set is reached; the minimum is gamma_t.
+    Position k misses the earlier positions j < min(k, a_k), position 0
+    being the empty prefix; reach[k] is the largest j that some position in
+    1..k misses. Position i extends the prefix sets whose last pick j is in
+    lo_i..i-1, the j above reach[a_i - 1]: positions j+1..a_i-1 meet such a
+    j and positions a_i..i meet i, so every set the DP builds dominates its
+    prefix, and the window holds every predecessor whose interval neither
+    contains nor is contained in I_i, through which a minimum tropical
+    dominating set is reached. A prefix set ending at j dominates the graph
+    when no position misses j, so the ends are reach[n] + 1..n.
     """
     n = inst.n
-    l, r = np.array(inst.l), np.array(inst.r)
-    # a_i: least position j with r_j >= l_i (r is sorted)
-    a = np.searchsorted(r, l) + 1
-    # b_j: least k > j with l_k > r_j, or n + 1; position k serves every
-    # j <= min(k - 1, a_k - 1), so b_j is the first k whose running maximum
-    # of that bound reaches j (b_0 = 1, so position 0 starts every window
-    # with a_i = 1; no window is empty, as b_{i-1} >= i >= a_i)
-    reach = np.maximum.accumulate(np.minimum(np.arange(n), a - 1))
-    b = np.searchsorted(reach, np.arange(n + 1)) + 1
-    return a, b, np.searchsorted(b, a)
+    # a_i - 1, where a_i is the least position j with r_j >= l_i (r is sorted)
+    a = np.searchsorted(np.array(inst.r), np.array(inst.l))
+    reach = np.maximum.accumulate(np.concatenate(([-1], np.minimum(np.arange(n), a))))
+    return reach[a] + 1, int(reach[n]) + 1
 
 
 def _fill_table(inst: IntervalInstance, lo) -> np.ndarray:
@@ -196,11 +193,8 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
             f"c={c}, n={n}: the DP table needs {size} bytes, "
             f"over the limit of {TABLE_BYTES}"
         )
-    _, b, lo = _prefix_arrays(inst)
+    lo, first_end = _windows(inst)
     f = _fill_table(inst, lo)
-    # candidate end positions, where [1,i] dominates the whole graph: b is
-    # non-decreasing, so they are the positions from the first b_i = n + 1 on
-    first_end = int(np.searchsorted(b, n + 1))
     # missing[S] = c - |S|, doubled one colour bit at a time in the table's
     # dtype, so no buffer besides the table is wider than a row
     missing = np.full(1, c, dtype=f.dtype)

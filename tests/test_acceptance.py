@@ -148,13 +148,13 @@ def test_criterion_03_greedy_guarantee(capsys):
     for colours, gt in path_corpus():
         total += 1
         g = path_graph(colours)
-        big_delta = max(Counter(v for e in g.edges for v in e).values(), default=0)
+        big_delta = max(Counter(g.edge_array.ravel().tolist()).values(), default=0)
         res = greedy_setcover_tds(g)
         if res.size > harmonic(big_delta + 2) * gt:
             violations += 1
     for seed in range(100):
         g = gen_gnpc(12, 0.3, 3, seed=[3003, seed])
-        big_delta = max(Counter(v for e in g.edges for v in e).values(), default=0)
+        big_delta = max(Counter(g.edge_array.ravel().tolist()).values(), default=0)
         res = greedy_setcover_tds(g)
         total += 1
         if res.size > harmonic(big_delta + 2) * gamma_t(g).value:

@@ -83,7 +83,7 @@ class TestGreedy:
         colours = list(range(1, 15)) + (rng.integers(0, 14, size=n - 14) + 1).tolist()
         graphs.append(build(n, [(i, i + 1) for i in range(1, n)], colours))
         for g in graphs:
-            closed = [sum(1 << (u - 1) for u in nbrs) for nbrs in closed_neighbourhoods(g.n, g.edges)]
+            closed = [sum(1 << (u - 1) for u in nbrs) for nbrs in closed_neighbourhoods(g.n, g.edge_array.tolist())]
             want = [v + 1 for v in reference_greedy_cover(closed, (1 << g.n) - 1)]
             assert greedy_dominating(g) == want
             sets = [m | (1 << (g.n + k - 1)) for m, k in zip(closed, g.colour)]
@@ -213,7 +213,7 @@ class TestPathFiveThirds:
                     g = path(colours)
                     res = path_five_thirds(g)
                     assert is_dominating(g, res.witness) and is_tropical(g, res.witness)
-                    gt = brute_gamma_t(n, g.edges, list(colours))
+                    gt = brute_gamma_t(n, g.edge_array.tolist(), list(colours))
                     assert res.size <= Fraction(5, 3) * gt
                     assert res.size <= (n + 2 * c) // 3 + 1
                     assert res.lower_bound == path_lower_bound(g) <= gt

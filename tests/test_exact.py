@@ -111,7 +111,7 @@ class TestRainbow:
 
     def test_p4_exhaustive(self):
         g = build(4, [(1, 2), (2, 3), (3, 4)], [1, 2, 2, 1])
-        sets = brute_rainbow_sets(4, g.edges, list(g.colour))
+        sets = brute_rainbow_sets(4, g.edge_array.tolist(), list(g.colour))
         ok, wit, _ = rainbow_exists(g)
         assert ok == bool(sets)
         if ok:

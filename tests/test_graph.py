@@ -10,14 +10,9 @@ from hypothesis import strategies as st
 
 from _oracles import brute_is_dominating, closed_neighbourhoods, random_coloured_graph, reference_edge_check
 from tropidom import (
-    CnfFormula,
     ColouredGraph,
-    SubcubicGraph,
     build,
-    build_interval_instance,
-    count_rainbow_ds,
     degree_profile,
-    gamma,
     gamma_t,
     gen_gnpc,
     greedy_setcover_tds,
@@ -25,14 +20,8 @@ from tropidom import (
     is_dominating,
     is_rainbow,
     is_tropical,
-    pad_colours,
     parse_instance,
-    path_five_thirds,
     path_order,
-    rainbow_exists,
-    sat_to_path,
-    tdn_interval,
-    vc_to_path,
     write_instance,
 )
 from tropidom.errors import (
@@ -75,7 +64,7 @@ class TestBuild:
 
     def test_edges_normalised(self):
         g = build(3, [(3, 1), (2, 1)], [1, 1, 1])
-        assert g.edges == ((1, 2), (1, 3))
+        assert g.edge_array.tolist() == [[1, 2], [1, 3]]
         assert g.m == 2 and g.c == 1
 
     def test_colour_classes(self):
@@ -114,8 +103,8 @@ class TestBuild:
         graphs.append(parse_instance("p tdgs 4 3 1\nv 1 1\nv 2 1\nv 3 1\nv 4 1\ne 3 4\ne 1 4\ne 1 2\n").graph)
         graphs += [parse_instance(write_instance(g)).graph for g in graphs]
         for g in graphs:
-            assert list(g.edges) == sorted(g.edges)
-            assert all(type(x) is int and u < v for u, v in g.edges for x in (u, v))
+            rows = g.edge_array.tolist()
+            assert rows == sorted(rows) and all(u < v for u, v in rows)
 
 
 @st.composite
@@ -133,7 +122,7 @@ def test_edge_errors_match_reference(case):
     kind, expect = reference_edge_check(n, edges)
     for given_edges in (edges, np.array(edges, dtype=np.int64).reshape(-1, 2)):
         if kind == "ok":
-            assert list(build(n, given_edges, [1] * n).edges) == expect
+            assert build(n, given_edges, [1] * n).edge_array.tolist() == [list(e) for e in expect]
         else:
             with pytest.raises(GraphBuildError) as info:
                 build(n, given_edges, [1] * n)
@@ -256,14 +245,14 @@ class TestMasks:
         edges = np.array([pairs[i] for i in rng.choice(len(pairs), 200, replace=False)])
         graphs.append(ColouredGraph(n=40, edge_array=edges, colour=(1,) * 40, c=1))
         for g in graphs:
-            for v, nbrs in enumerate(closed_neighbourhoods(g.n, g.edges), 1):
+            for v, nbrs in enumerate(closed_neighbourhoods(g.n, g.edge_array.tolist()), 1):
                 want = sum(1 << (u - 1) for u in nbrs)
                 assert g.closed_mask[v - 1] == want
 
     def test_one_coloured_shares_neighbourhood_masks(self):
         g = p3()
         h = g.one_coloured()
-        assert (h.n, h.edges, h.colour, h.c) == (3, g.edges, (1, 1, 1), 1)
+        assert (h.n, h.edge_array.tolist(), h.colour, h.c) == (3, g.edge_array.tolist(), (1, 1, 1), 1)
         assert h.closed_mask is g.closed_mask
         assert h.colour_mask == (0b111,) and g.colour_mask == (0b101, 0b010)
 
@@ -325,38 +314,13 @@ class TestEdgeArray:
                 assert write_instance(h) == want[1]
             one = copies[2]
             assert write_instance(copies[3]) == write_instance(one)
-            assert write_instance(one) == write_instance(build(g.n, list(g.edges), [1] * g.n))
+            assert write_instance(one) == write_instance(build(g.n, g.edge_array.tolist(), [1] * g.n))
 
     def test_direct_construction_keeps_edge_order(self):
         # a graph made without build is written as its edge rows read
         g = ColouredGraph(n=3, edge_array=np.array([[2, 3], [1, 2]]), colour=(1, 2, 1), c=2)
         assert write_instance(g) == "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 2 3\ne 1 2\n"
         assert degree_profile(g).big_delta == 2
-
-    def test_no_library_path_builds_the_pair_tuple(self):
-        # edges is built on first read only; every library path reads edge_array
-        path = build(9, [(i, i + 1) for i in range(1, 9)], [1, 2, 3] * 3)
-        clique = np.array([(u, v) for u in range(1, 13) for v in range(u + 1, 13)])
-        dense = build(12, clique, [1 + v % 3 for v in range(12)])
-        assert path.m < 4 * path.n and dense.m >= 4 * dense.n  # both closed_mask routes
-        g = gen_gnpc(30, 0.3, 3, 5)
-        graphs = [path, dense, g, parse_instance(write_instance(g)).graph]
-        for h in graphs:
-            write_instance(h)
-            degree_profile(h)
-            h.closed_mask
-            greedy_setcover_tds(h)
-            gamma_t(h)
-            gamma(h)
-            rainbow_exists(h)
-            count_rainbow_ds(h)
-        tdn_interval(build_interval_instance(path))
-        path_five_thirds(path)
-        graphs.append(pad_colours(path, 0.5))
-        graphs.append(vc_to_path(SubcubicGraph(4, ((1, 2), (2, 3), (3, 4)))).path)
-        graphs.append(sat_to_path(CnfFormula(3, (((1, True), (2, False), (3, True)),))).path)
-        graphs.append(pad_colours(graphs[-1], 0.5))
-        assert all("edges" not in vars(h) for h in graphs)
 
     def test_equality_hash_and_repr(self):
         pairs, colours = [(1, 2), (3, 1), (4, 3)], [1, 2, 1, 2]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from _oracles import random_coloured_graph, reference_parse
 from tropidom import Instance, build, gen_gnpc, parse_instance, write_instance
-from tropidom.errors import ParseError
+from tropidom.errors import ParseError, RepresentationMismatchError
 
 GOOD = """\
 # legend 1 B
@@ -69,6 +69,34 @@ def interval_instances(draw):
 def test_round_trip_with_intervals_and_legend(inst):
     text = write_instance(inst.graph, intervals=inst.intervals, legend=inst.legend)
     assert parse_instance(text) == inst
+
+
+PATH_INTERVALS = {1: (0, 1), 2: (1, 2), 3: (2, 3)}
+
+
+@pytest.mark.parametrize(
+    "intervals,legend,error,message",
+    [
+        ({1: (0, 1), 2: (1, 2)}, None, RepresentationMismatchError, "expected 3 intervals, got 2"),
+        ({1: (0, 1), 2: (1, 2), 4: (2, 3)}, None, RepresentationMismatchError, "vertex 3 has no interval"),
+        ({**PATH_INTERVALS, 2: (1, 2.5)}, None, ValueError, "vertex 2: interval [1,2.5] has a non-integer endpoint"),
+        ({**PATH_INTERVALS, 1: (0.0, 1)}, None, ValueError, "vertex 1: interval [0.0,1] has a non-integer endpoint"),
+        ({**PATH_INTERVALS, 3: (3, 2)}, None, RepresentationMismatchError, "vertex 3: interval [3,2] has l > r"),
+        (None, {1: "B", 2: ""}, ValueError, "legend label '' of colour 2 is empty or holds whitespace"),
+        (None, {1: "my label"}, ValueError, "legend label 'my label' of colour 1 is empty or holds whitespace"),
+        (PATH_INTERVALS, {2: "x\n"}, ValueError, "legend label 'x\\n' of colour 2 is empty or holds whitespace"),
+        (None, {"1": "B"}, ValueError, "legend colour '1' is not an integer"),
+    ],
+    ids=["some-vertices", "missing-vertex", "float-r", "float-l", "l-above-r", "empty-label",
+         "space-label", "newline-label", "str-colour"],
+)
+def test_write_refuses_what_does_not_read_back(intervals, legend, error, message):
+    g = build(3, [(1, 2), (2, 3)], [1, 2, 1])
+    text = write_instance(g, intervals=PATH_INTERVALS, legend={1: "B", 2: "my_label"})
+    assert parse_instance(text) == Instance(g, PATH_INTERVALS, {1: "B", 2: "my_label"})
+    with pytest.raises(error) as info:
+        write_instance(g, intervals=intervals, legend=legend)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize(

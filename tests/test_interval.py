@@ -179,23 +179,28 @@ class TestBuild:
             assert inst.order == (3, 1, 2)
 
 
-def prefix_tables(inst):
-    """a, b and the predecessor windows P_i = lo_i..i-1 of the DP, as tuples."""
-    a, b, lo = interval._prefix_arrays(inst)
-    P = tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1))
-    return tuple(a.tolist()), tuple(b.tolist()), P
+def windows(inst):
+    """The predecessor windows P_i = lo_i..i-1 of the DP, as tuples, and its
+    first end position."""
+    lo, first_end = interval._windows(inst)
+    return tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1)), first_end
+
+
+def oracle_windows(inst):
+    """P from the definition oracle, and its first j with b_j = n + 1."""
+    _, b, P = brute_prefix_tables(inst.l, inst.r)
+    return P, b.index(inst.n + 1)
 
 
 class TestPrefixTables:
     def test_hand_values(self):
-        a, b, P = prefix_tables(spec_instance())
-        assert a == (1, 1, 3)
-        assert b == (1, 3, 3, 4)  # b_0 = 1; n + 1 = 4 stands for infinity
-        assert P == ((0,), (0, 1), (1, 2))
+        inst = spec_instance()
+        # b = (1, 3, 3, 4): b_0 = 1, and n + 1 = 4 first at j = 3
+        assert windows(inst) == oracle_windows(inst) == (((0,), (0, 1), (1, 2)), 3)
 
     def test_single_interval(self):
         g = build(1, [], [1])
-        assert prefix_tables(build_interval_instance(g, {1: (0, 1)})) == ((1,), (1, 2), ((0,),))
+        assert windows(build_interval_instance(g, {1: (0, 1)})) == (((0,),), 1)
 
     def test_matches_definition_oracle(self):
         # small spans give many ties, nested and equal intervals
@@ -204,7 +209,7 @@ class TestPrefixTables:
             n_max, span = (300, 40) if k % 20 == 0 else (30, int(rng.integers(2, 12)))
             n, edges, colours, pairs = random_interval_instance(rng, n_max=n_max, span=span)
             inst = build_interval_instance(build(n, edges, colours), pairs)
-            assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
+            assert windows(inst) == oracle_windows(inst)
         # 500 intervals on [0, 40] meet most earlier ones: long windows
         n = 500
         rng = np.random.default_rng(74)
@@ -214,26 +219,26 @@ class TestPrefixTables:
             if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
         ]
         inst = build_interval_instance(build(n, edges, [1] * n), pairs)
-        assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
+        assert windows(inst) == oracle_windows(inst)
         rng = np.random.default_rng(75)
         for _ in range(60):
             n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
             inst = build_interval_instance(build(n, edges, colours), pairs)
-            assert prefix_tables(inst) == brute_prefix_tables(inst.l, inst.r)
+            assert windows(inst) == oracle_windows(inst)
             if n <= 16:
                 assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
 
     def test_b_marks_dominating_prefixes(self):
-        # b_j = infinity exactly when intervals 1..j dominate everything
+        # positions 1..j dominate everything exactly from the first end on
         rng = np.random.default_rng(71)
         for _ in range(60):
             n, edges, colours, pairs = random_interval_instance(rng, n_max=10)
             g = build(n, edges, colours)
             inst = build_interval_instance(g, pairs)
-            _, b, _ = prefix_tables(inst)
+            _, first_end = windows(inst)
             for j in range(1, n + 1):
                 prefix = {inst.order[k] for k in range(j)}
-                assert (b[j] == n + 1) == is_dominating(g, prefix)
+                assert (j >= first_end) == is_dominating(g, prefix)
 
 
 class TestTdn:
