@@ -6,15 +6,19 @@ where a_i is the least position whose right endpoint reaches l_i; the
 representation is checked against the graph by that rule in O(n log n + m),
 edge by edge and by per-vertex counts of meeting partners, without listing
 the meeting pairs.
-The table f(S, i) holds the least size of an i-prefix dominating set whose
-last pick is i, covering exactly the colour subset S; it is stored
-row-contiguously, one row of all 2^c subsets per position i, in the smallest
-unsigned integer dtype that holds 2n + c + 1. Each row is filled by numpy
-from one contiguous window of earlier rows, the positions lo_i..i-1 that no
-position before a_i misses, read off one running maximum; the fill is
-O(2^c * sum (i - lo_i)), in the worst case O(2^c n^2). The final sums are
-taken one end row at a time in one row-sized buffer, so no other buffer is
-wider than a row.
+The only vertex of a one-vertex colour class is in every tropical set, so
+those vertices F are taken up front; the DP then runs over c', the colours
+with two or more vertices, and has to dominate only the positions outside
+N[F]. The table f(S, i) holds the least size of an i-prefix set that
+dominates those of positions 1..i, has last pick i and covers exactly the
+subset S of the c' colours; it is stored row-contiguously, one row of all
+2^c' subsets per position i, in the smallest unsigned integer dtype that
+holds 2n + c' + 1. Each row is filled by numpy from one contiguous window of
+earlier rows, the positions lo_i..i-1 that no required position before a_i
+misses, read off one running maximum, and the window's minimum is kept
+running while its start stays put; the fill is O(2^c' * sum (i - lo_i)), in
+the worst case O(2^c' n^2). The final sums are taken one end row at a time
+in one row-sized buffer, so no other buffer is wider than a row.
 """
 
 from __future__ import annotations
@@ -115,7 +119,7 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
 
 
 def _table_dtype(n: int, c: int) -> np.dtype:
-    """Smallest unsigned dtype for the DP table of n positions and c colours.
+    """Smallest unsigned dtype for a DP table of n positions over c colours.
 
     Unreachable cells start at the sentinel max - n - c > n, above every
     reachable size (<= n). A cell of position i is at most the sentinel
@@ -125,51 +129,86 @@ def _table_dtype(n: int, c: int) -> np.dtype:
 
 
 def _windows(inst: IntervalInstance):
-    """lo (by position) and the first end position of the DP.
+    """The forced positions, lo (by position) and the first end position.
 
-    Position k misses the earlier positions j < min(k, a_k), position 0
-    being the empty prefix; reach[k] is the largest j that some position in
-    1..k misses. Position i extends the prefix sets whose last pick j is in
-    lo_i..i-1, the j above reach[a_i - 1]: positions j+1..a_i-1 meet such a
-    j and positions a_i..i meet i, so every set the DP builds dominates its
+    A position is forced when its colour has one vertex. That vertex is in
+    every tropical set, so the forced set F is taken whole and the DP has to
+    dominate only the required positions, those outside N[F]: position k
+    meets a forced p > k when a_p <= k, and a forced p < k when a_k <= p.
+
+    A required position k misses the earlier positions j < min(k, a_k),
+    position 0 being the empty prefix; reach[k] is the largest j that some
+    required position in 1..k misses. Position i extends the prefix sets
+    whose last pick j is in lo_i..i-1, the j above reach[a_i - 1]: the
+    required positions j+1..a_i-1 meet such a j and positions a_i..i meet i,
+    so every set the DP builds dominates the required positions of its
     prefix, and the window holds every predecessor whose interval neither
     contains nor is contained in I_i, through which a minimum tropical
-    dominating set is reached. A prefix set ending at j dominates the graph
-    when no position misses j, so the ends are reach[n] + 1..n.
+    dominating set is reached. A prefix set ending at j dominates the
+    required positions when none of them misses j, so the ends are
+    reach[n] + 1..n.
     """
     n = inst.n
+    colour = np.array(inst.colour_at)
+    forced = (np.bincount(colour) == 1)[colour]
     # a_i - 1, where a_i is the least position j with r_j >= l_i (r is sorted)
     a = np.searchsorted(np.array(inst.r), np.array(inst.l))
-    reach = np.maximum.accumulate(np.concatenate(([-1], np.minimum(np.arange(n), a))))
-    return reach[a] + 1, int(reach[n]) + 1
+    k = np.arange(n)
+    # the least a_p over the forced p >= k, and the last forced p <= k
+    later = np.minimum.accumulate(np.where(forced, a, n)[::-1])[::-1]
+    earlier = np.maximum.accumulate(np.where(forced, k, -1))
+    required = (later > k) & (a > earlier)
+    missed = np.where(required, np.minimum(k, a), -1)
+    reach = np.maximum.accumulate(np.concatenate(([-1], missed)))
+    return forced, reach[a] + 1, int(reach[n]) + 1
 
 
-def _fill_table(inst: IntervalInstance, lo) -> np.ndarray:
-    """f[i, S] for all positions i in 0..n and colour subsets S."""
-    n, c = inst.n, inst.graph.c
-    dtype = _table_dtype(n, c)
-    f = np.full((n + 1, 1 << c), np.iinfo(dtype).max - n - c, dtype=dtype)
+def _fill_table(n: int, width: int, free, lo, bit) -> np.ndarray:
+    """f[i, S] for all positions i in 0..n and subsets S of width colours.
+
+    Only the free positions are filled, position i adding colour bit
+    bit[i - 1]; the other rows stay at the sentinel. A filled row gets its
+    + 1 on every cell, so its cells without the bit hold the sentinel plus
+    one: still unreachable, and within sentinel + i.
+    """
+    dtype = _table_dtype(n, width)
+    f = np.full((n + 1, 1 << width), np.iinfo(dtype).max - n - width, dtype=dtype)
     f[0, 0] = 0
-    for i, (colour, j) in enumerate(zip(inst.colour_at, lo.tolist()), start=1):
-        colbit = 1 << (colour - 1)
-        # axis 1 of the (-1, 2, colbit) view splits subsets by the colour bit
-        best = np.minimum.reduce(f[j:i]).reshape(-1, 2, colbit)
-        out = f[i].reshape(-1, 2, colbit)[:, 1]
-        np.minimum(best[:, 0], best[:, 1], out=out)
-        out += 1
+    win = np.empty_like(f[0])
+    one = dtype.type(1)
+    # per colour bit k, axis 1 of a (-1, 2, 2^k) view splits subsets by the
+    # bit: the halves of win without and with it, and each row's cells with it
+    views = []
+    for k in range(width):
+        halves = win.reshape(-1, 2, 1 << k)
+        views.append((halves[:, 0], halves[:, 1], f.reshape(n + 1, -1, 2, 1 << k)[:, :, 1]))
+    start = prev = -1  # win is the minimum of the rows start..prev-1
+    for i in free:
+        j = lo[i - 1]
+        if j == start:
+            # the rows between prev and i are at the sentinel
+            np.minimum(win, f[prev], out=win)
+        else:
+            np.minimum.reduce(f[j:i], out=win)
+            start = j
+        prev = i
+        h0, h1, rows = views[bit[i - 1]]
+        np.minimum(h0, h1, out=rows[i])
+        row = f[i]
+        np.add(row, one, out=row)
     return f
 
 
-def _reconstruct(inst: IntervalInstance, lo, f, S: int, i: int):
+def _reconstruct(lo, bit, f, S: int, i: int):
     """Walk the recursion back from (i, S); returns sorted positions."""
     picks = []
     while i != 0:
         picks.append(i)
         target = f.item(i, S) - 1
-        rest = S & ~(1 << (inst.colour_at[i - 1] - 1))
+        rest = S & ~(1 << bit[i - 1])
         # the first predecessor, then the first of (rest, S), that gives f[i, S]
         step = next(
-            ((j, S2) for j in range(int(lo[i - 1]), i) for S2 in (rest, S)
+            ((j, S2) for j in range(lo[i - 1], i) for S2 in (rest, S)
              if f.item(j, S2) == target),
             None,
         )
@@ -180,33 +219,43 @@ def _reconstruct(inst: IntervalInstance, lo, f, S: int, i: int):
 
 
 def tdn_interval(inst: IntervalInstance) -> SolveResult:
-    """Minimum tropical dominating set via the O(2^c n^2) subset DP.
+    """Minimum tropical dominating set via the O(2^c' sum (i - lo_i)) subset DP.
 
-    Raises TooManyColoursError before allocating a table of more than
-    TABLE_BYTES bytes.
+    c' counts the colours with two or more vertices: the vertex of a
+    one-vertex colour is in every tropical set, so it is taken up front and
+    the table's subsets range over the c' colours only. Raises
+    TooManyColoursError before allocating a table of more than TABLE_BYTES
+    bytes.
     """
     g = inst.graph
     c, n = g.c, inst.n
-    size = (n + 1) * (1 << c) * _table_dtype(n, c).itemsize
+    colour = np.array(inst.colour_at)
+    # bit k of a subset stands for the k-th least colour with two or more
+    # vertices
+    shared = np.bincount(colour) > 1
+    width = int(shared.sum())
+    size = (n + 1) * (1 << width) * _table_dtype(n, width).itemsize
     if size > TABLE_BYTES:
         raise TooManyColoursError(
-            f"c={c}, n={n}: the DP table needs {size} bytes, "
-            f"over the limit of {TABLE_BYTES}"
+            f"c={c}, of which {width} have two or more vertices, n={n}: "
+            f"the DP table needs {size} bytes, over the limit of {TABLE_BYTES}"
         )
-    lo, first_end = _windows(inst)
-    f = _fill_table(inst, lo)
-    # missing[S] = c - |S|, doubled one colour bit at a time in the table's
+    forced, lo, first_end = _windows(inst)
+    free = (np.flatnonzero(~forced) + 1).tolist()
+    lo, bit = lo.tolist(), (np.cumsum(shared) - 1)[colour].tolist()
+    f = _fill_table(n, width, free, lo, bit)
+    # missing[S] = c' - |S|, doubled one colour bit at a time in the table's
     # dtype, so no buffer besides the table is wider than a row
-    missing = np.full(1, c, dtype=f.dtype)
-    for _ in range(c):
+    missing = np.full(1, width, dtype=f.dtype)
+    for _ in range(width):
         missing = np.concatenate((missing, missing - 1))
     # total size per (end, subset): the prefix set plus one vertex per
     # missing colour. A reachable total is at most n and an unreachable cell
     # is above n; the table's headroom keeps the sums in its dtype. The end
     # rows are summed in order into one row buffer, and a row replaces the
     # best only when it is strictly smaller, so the least end wins, then the
-    # least subset; no tropical set has fewer than c vertices, so a row that
-    # reaches c ends the walk.
+    # least subset; every total is at least c', so a row that reaches c'
+    # ends the walk.
     totals = np.empty_like(missing)
     best_val = n + 1
     for end in range(first_end, n + 1):
@@ -214,13 +263,17 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
         S = int(totals.argmin())
         if totals[S] < best_val:
             best_val, best_end, best_S = int(totals[S]), end, S
-            if best_val == c:
+            if best_val == width:
                 break
-    # with l <= r on every interval, row n always holds a reachable total
+    # with l <= r on every interval, the chain of all free positions reaches
+    # an end, so some total is reachable
     assert best_val <= n, "no prefix dominates the graph"
-    positions = _reconstruct(inst, lo, f, best_S, best_end)
-    witness = complete_colours(g, (inst.order[p - 1] for p in positions))
-    return SolveResult(value=best_val, witness=frozenset(witness), explored=(1 << c) * (n + 1))
+    taken = (np.flatnonzero(forced) + 1).tolist()
+    picks = taken + _reconstruct(lo, bit, f, best_S, best_end)
+    witness = complete_colours(g, (inst.order[p - 1] for p in picks))
+    return SolveResult(
+        value=len(taken) + best_val, witness=frozenset(witness), explored=(1 << width) * (n + 1)
+    )
 
 
 def path_intervals(n: int) -> dict[int, tuple[int, int]]:

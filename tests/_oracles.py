@@ -123,25 +123,32 @@ def random_interval_instance(rng, n_max=14, c_max=4, span=20):
     return n, edges, colours, pairs
 
 
-def brute_prefix_tables(l, r):
-    """a, b and P of the interval DP, straight from their definitions.
+def brute_windows(l, r, colours):
+    """Forced positions, windows P and first end of the interval DP, straight
+    from their definitions.
 
-    l and r are the endpoints by sorted position (position i is index i-1).
-    a_i is the least j with r_j >= l_i; b_0 = 1 and b_j is the least k > j
-    with l_k > r_j, or n+1; P_i holds every j in 0..i-1 with b_j >= a_i.
+    l, r and colours are by sorted position (position i is index i-1). A
+    position is forced when no other position has its colour, and required
+    when it meets no forced position. a_i is the least j with r_j >= l_i,
+    and b_j is the first required position after j that misses j, or n+1;
+    position 0, the empty prefix, misses every position. P_i holds every j
+    in 0..i-1 with b_j >= a_i, and the first end is the least j with
+    b_j = n+1.
     """
     n = len(l)
-    a = []
-    for i in range(1, n + 1):
-        a.append(min(j for j in range(1, n + 1) if r[j - 1] >= l[i - 1]))
-    b = [1]
-    for j in range(1, n + 1):
-        later = [k for k in range(j + 1, n + 1) if l[k - 1] > r[j - 1]]
-        b.append(min(later) if later else n + 1)
-    P = []
-    for i in range(1, n + 1):
-        P.append(tuple(j for j in range(i) if b[j] >= a[i - 1]))
-    return tuple(a), tuple(b), tuple(P)
+
+    def meets(u, v):
+        return u > 0 and l[u - 1] <= r[v - 1] and l[v - 1] <= r[u - 1]
+
+    forced = tuple(colours.count(k) == 1 for k in colours)
+    required = [
+        q for q in range(1, n + 1)
+        if not any(forced[p - 1] and meets(p, q) for p in range(1, n + 1))
+    ]
+    a = [min(j for j in range(1, n + 1) if r[j - 1] >= l[i - 1]) for i in range(1, n + 1)]
+    b = [min([q for q in required if q > j and not meets(j, q)], default=n + 1) for j in range(n + 1)]
+    P = tuple(tuple(j for j in range(i) if b[j] >= a[i - 1]) for i in range(1, n + 1))
+    return forced, P, b.index(n + 1)
 
 
 def gnpc_reference(n, p, c, seed):

@@ -185,6 +185,25 @@ def _canonical_formula(clauses, nv):
     return best
 
 
+def _random_formulas():
+    """Criterion 4's 100 random three-clause formulas on up to 4 variables."""
+    rng = np.random.default_rng(4004)
+    formulas = []
+    for _ in range(100):
+        vs = int(rng.integers(1, 5))
+        combo = tuple(
+            tuple((int(rng.integers(1, vs + 1)), bool(rng.integers(0, 2))) for _ in range(3))
+            for _ in range(3)
+        )
+        formulas.append(combo)
+    return formulas
+
+
+def _formula(combo):
+    nvars = max(v for cl in combo for v, _ in cl)
+    return CnfFormula(nvars, tuple(tuple(cl) for cl in combo))
+
+
 def test_criterion_04_sat_reduction_equivalence(capsys):
     nv = 3
     clauses = _all_three_literal_clauses(nv)
@@ -196,18 +215,10 @@ def test_criterion_04_sat_reduction_equivalence(capsys):
             if canon not in seen:
                 seen.add(canon)
                 formulas.append(combo)
-    rng = np.random.default_rng(4004)
-    for _ in range(100):
-        vs = int(rng.integers(1, 5))
-        combo = tuple(
-            tuple((int(rng.integers(1, vs + 1)), bool(rng.integers(0, 2))) for _ in range(3))
-            for _ in range(3)
-        )
-        formulas.append(combo)
+    formulas += _random_formulas()
     mismatches = 0
     for combo in formulas:
-        nvars = max(v for cl in combo for v, _ in cl)
-        f = CnfFormula(nvars, tuple(tuple(cl) for cl in combo))
+        f = _formula(combo)
         ok, _, _ = rainbow_exists(sat_to_path(f).path)
         if ok != brute_satisfiable(f):
             mismatches += 1
@@ -216,6 +227,24 @@ def test_criterion_04_sat_reduction_equivalence(capsys):
             f"{len(formulas)} formulas ({len(seen)} exhaustive up to symmetry "
             f"+ 100 random), {mismatches} mismatches")
     assert ok
+
+
+def test_sat_paths_with_few_shared_colours_by_interval_dp():
+    """The interval DP's table ranges over the colours with two or more
+    vertices, c'. Of criterion 4's random formulas, the 30 whose reduction
+    paths have c' <= 16 are solved by it: gamma_t = c exactly when the
+    formula is satisfiable."""
+    solved = 0
+    for combo in _random_formulas():
+        f = _formula(combo)
+        path = sat_to_path(f).path
+        if sum(m & (m - 1) != 0 for m in path.colour_mask) > 16:
+            continue
+        solved += 1
+        res = _path_gamma_t(path)
+        assert (res.value == path.c) == brute_satisfiable(f)
+        assert is_dominating(path, res.witness) and is_tropical(path, res.witness)
+    assert solved == 30
 
 
 def _connected_subcubic(max_n):

@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from _oracles import brute_gamma_t, brute_prefix_tables, random_interval_instance
+from _oracles import brute_gamma_t, brute_windows, random_interval_instance
 from tropidom import (
     SubcubicGraph,
     build,
@@ -24,7 +26,6 @@ from tropidom import (
 from tropidom import interval
 from tropidom.errors import NoRepresentationError, RepresentationMismatchError, TooManyColoursError
 from tropidom.graph import ColouredGraph
-from tropidom.interval import IntervalInstance
 
 PAIRS = {1: (0, 2), 2: (1, 3), 3: (4, 5)}
 # integer endpoints as they are, as floats, and beyond int64
@@ -180,27 +181,57 @@ class TestBuild:
 
 
 def windows(inst):
-    """The predecessor windows P_i = lo_i..i-1 of the DP, as tuples, and its
-    first end position."""
-    lo, first_end = interval._windows(inst)
-    return tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1)), first_end
+    """The forced positions, the predecessor windows P_i = lo_i..i-1 of the
+    DP as tuples, and its first end position."""
+    forced, lo, first_end = interval._windows(inst)
+    P = tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1))
+    return tuple(forced.tolist()), P, first_end
 
 
 def oracle_windows(inst):
-    """P from the definition oracle, and its first j with b_j = n + 1."""
-    _, b, P = brute_prefix_tables(inst.l, inst.r)
-    return P, b.index(inst.n + 1)
+    """The same from the definition oracle."""
+    return brute_windows(inst.l, inst.r, list(inst.colour_at))
+
+
+@st.composite
+def coloured_intervals(draw):
+    """Intervals on [0, 28] with colours that may leave some classes with
+    one vertex; with c = n every class has one."""
+    n = draw(st.integers(1, 10))
+    c = draw(st.integers(1, n))
+    extra = draw(st.lists(st.integers(1, c), min_size=n - c, max_size=n - c))
+    colours = draw(st.permutations(list(range(1, c + 1)) + extra))
+    pairs = {}
+    for v in range(1, n + 1):
+        lo = draw(st.integers(0, 20))
+        pairs[v] = (lo, lo + draw(st.integers(0, 8)))
+    edges = [
+        (u, v)
+        for u in range(1, n + 1)
+        for v in range(u + 1, n + 1)
+        if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
+    ]
+    return n, edges, colours, pairs
 
 
 class TestPrefixTables:
     def test_hand_values(self):
         inst = spec_instance()
-        # b = (1, 3, 3, 4): b_0 = 1, and n + 1 = 4 first at j = 3
-        assert windows(inst) == oracle_windows(inst) == (((0,), (0, 1), (1, 2)), 3)
+        # colour 2 has one vertex, at position 2, which positions 1 and 2
+        # meet: only position 3 is required, and only prefixes to 3 reach it
+        assert windows(inst) == oracle_windows(inst) == (
+            (False, True, False), ((0,), (0, 1), (0, 1, 2)), 3
+        )
+        # with one colour nothing is forced: b = (1, 3, 3, 4), so n + 1 = 4
+        # first at j = 3
+        inst = build_interval_instance(build(3, [(1, 2)], [1, 1, 1]), PAIRS)
+        assert windows(inst) == oracle_windows(inst) == (
+            (False, False, False), ((0,), (0, 1), (1, 2)), 3
+        )
 
     def test_single_interval(self):
         g = build(1, [], [1])
-        assert windows(build_interval_instance(g, {1: (0, 1)})) == (((0,),), 1)
+        assert windows(build_interval_instance(g, {1: (0, 1)})) == ((True,), ((0,),), 0)
 
     def test_matches_definition_oracle(self):
         # small spans give many ties, nested and equal intervals
@@ -229,16 +260,34 @@ class TestPrefixTables:
                 assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
 
     def test_b_marks_dominating_prefixes(self):
-        # positions 1..j dominate everything exactly from the first end on
+        # the one-vertex colours and positions 1..j dominate everything
+        # exactly from the first end on
         rng = np.random.default_rng(71)
         for _ in range(60):
             n, edges, colours, pairs = random_interval_instance(rng, n_max=10)
             g = build(n, edges, colours)
             inst = build_interval_instance(g, pairs)
-            _, first_end = windows(inst)
-            for j in range(1, n + 1):
-                prefix = {inst.order[k] for k in range(j)}
+            forced, _, first_end = windows(inst)
+            taken = {v for v, f in zip(inst.order, forced) if f}
+            for j in range(n + 1):
+                prefix = taken | {inst.order[k] for k in range(j)}
                 assert (j >= first_end) == is_dominating(g, prefix)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coloured_intervals())
+@example((4, [(1, 2), (2, 3), (3, 4)], [3, 1, 4, 2], {1: (0, 1), 2: (1, 2), 3: (2, 3), 4: (3, 4)}))
+def test_one_vertex_colours_match_oracles(case):
+    # the example has c' = 0: every vertex is taken and nothing is required
+    n, edges, colours, pairs = case
+    g = build(n, edges, colours)
+    inst = build_interval_instance(g, pairs)
+    assert windows(inst) == oracle_windows(inst)
+    res = tdn_interval(inst)
+    assert res.value == len(res.witness) == brute_gamma_t(n, edges, colours)
+    assert is_dominating(g, res.witness) and is_tropical(g, res.witness)
+    shared = sum(colours.count(k) > 1 for k in set(colours))
+    assert res.explored == (n + 1) * 2**shared
 
 
 class TestTdn:
@@ -262,25 +311,96 @@ class TestTdn:
     @pytest.mark.parametrize(
         "c, top, itemsize",
         # a table cell takes the fewest bytes whose largest value top is at
-        # least 2n + c + 1; both n on each side of a boundary are refused
+        # least 2n + c + 1
         [(24, 2**8 - 1, 1), (25, 2**8 - 1, 1), (15, 2**16 - 1, 2), (16, 2**16 - 1, 2),
          (1, 2**32 - 1, 4), (2, 2**32 - 1, 4)],
     )
-    def test_refusal_names_table_bytes(self, c, top, itemsize):
+    def test_table_dtype_boundaries(self, c, top, itemsize):
         last = (top - c - 1) // 2  # the largest n with itemsize-byte cells
+        assert interval._table_dtype(last, c).itemsize == itemsize
+        assert interval._table_dtype(last + 1, c).itemsize == 2 * itemsize
+
+    @pytest.mark.parametrize(
+        "c, top, itemsize",
+        # both n on each side of a dtype boundary are refused
+        [(24, 2**8 - 1, 1), (25, 2**8 - 1, 1), (15, 2**16 - 1, 2), (16, 2**16 - 1, 2)],
+    )
+    def test_refusal_names_table_bytes(self, c, top, itemsize):
+        last = (top - c - 1) // 2
         for n, size in ((last, itemsize), (last + 1, 2 * itemsize)):
-            if n < 2**20:
-                g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
-                inst = build_interval_instance(g, path_intervals(n))
-            else:  # too large to build: only n and c are read before the refusal
-                empty = ColouredGraph(n=n, edge_array=np.zeros((0, 2), np.int64), colour=(), c=c)
-                inst = IntervalInstance(empty, (), (), ())
+            g = build(n, [(i, i + 1) for i in range(1, n)], [1 + v % c for v in range(n)])
+            inst = build_interval_instance(g, path_intervals(n))
             with pytest.raises(TooManyColoursError) as exc:
                 tdn_interval(inst)
             assert str(exc.value) == (
-                f"c={c}, n={n}: the DP table needs {(n + 1) * 2**c * size} bytes, "
-                f"over the limit of {2**30}"
+                f"c={c}, of which {c} have two or more vertices, n={n}: "
+                f"the DP table needs {(n + 1) * 2**c * size} bytes, over the limit of {2**30}"
             )
+
+    def test_one_vertex_colours_leave_the_table(self):
+        # a 60-vertex path with 40 one-vertex colours and 4 shared ones:
+        # rows of 2^4 cells, where c = 44 would need 2^44
+        n = 60
+        rng = np.random.default_rng(91)
+        colours = rng.permutation(list(range(1, 41)) + [41 + v % 4 for v in range(20)]).tolist()
+        g = build(n, [(i, i + 1) for i in range(1, n)], colours)
+        res = tdn_interval(build_interval_instance(g))
+        assert res.value == len(res.witness) == gamma_t(g).value
+        assert is_dominating(g, res.witness) and is_tropical(g, res.witness)
+        assert res.explored == (n + 1) * 2**4
+        # 24 colours twice and 52 once on a 100-vertex path: c' = 24 needs
+        # 101 * 2^24 one-byte cells, 1.6 GiB, refused before allocation
+        n, c = 100, 76
+        colours = rng.permutation([1 + v % 24 for v in range(48)] + list(range(25, c + 1))).tolist()
+        g = build(n, [(i, i + 1) for i in range(1, n)], colours)
+        inst = build_interval_instance(g)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooManyColoursError) as exc:
+                tdn_interval(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"c={c}, of which 24 have two or more vertices, n={n}: "
+            f"the DP table needs {101 * 2**24} bytes, over the limit of {2**30}"
+        )
+        assert peak < 2**20
+
+    def test_fill_matches_a_window_by_window_reference(self):
+        # the fill keeps a running minimum while a window keeps its start and
+        # skips the forced rows; the reference reduces every window afresh.
+        # Unreachable cells (above n) may differ in how far above n they are
+        rng = np.random.default_rng(77)
+        cases = []
+        for _ in range(80):
+            n, edges, colours, pairs = random_interval_instance(rng, n_max=30, c_max=8, span=12)
+            cases.append((build(n, edges, colours), pairs))
+        n = 40  # a clique: every window starts at 0
+        colours = rng.permutation(list(range(1, 9)) + [9 + v % 3 for v in range(n - 8)]).tolist()
+        g = build(n, [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)], colours)
+        cases.append((g, {v: (v, n + v) for v in range(1, n + 1)}))
+        for g, pairs in cases:
+            inst = build_interval_instance(g, pairs)
+            n, colours = inst.n, inst.colour_at
+            forced, lo, _ = interval._windows(inst)
+            shared = sorted({k for k in colours if colours.count(k) > 1})
+            width = len(shared)
+            bit = [shared.index(k) if k in shared else -1 for k in colours]
+            dtype = interval._table_dtype(n, width)
+            ref = np.full((n + 1, 2**width), np.iinfo(dtype).max - n - width, dtype=dtype)
+            ref[0, 0] = 0
+            for i in range(1, n + 1):
+                if not forced[i - 1]:
+                    b = 1 << bit[i - 1]
+                    best = ref[lo[i - 1]:i].min(axis=0)
+                    for S in range(2**width):
+                        if S & b:
+                            ref[i, S] = min(best[S], best[S ^ b])
+                    ref[i] += 1
+            free = [i for i in range(1, n + 1) if not forced[i - 1]]
+            f = interval._fill_table(n, width, free, lo.tolist(), bit)
+            assert np.array_equal(np.minimum(f, n + 1), np.minimum(ref, n + 1))
 
     def test_clique_answer_needs_one_table_copy(self):
         # the first position dominates a clique, so every row is an end row;
@@ -402,8 +522,10 @@ def pinned_results() -> dict:
 def test_pinned_tdn_interval():
     """(value, sorted witness, explored) equal tests/interval_pinned.json.
 
-    The file was captured while the table was int64 and the predecessor
-    lists were tuples; to recapture, dump pinned_results() as JSON.
+    The values were captured while the table was int64 and the predecessor
+    lists were tuples, and agree since; `explored` and the witnesses were
+    recaptured when the one-vertex colours left the table. To recapture,
+    dump pinned_results() as JSON.
     """
     pinned = json.loads(Path(__file__).with_name("interval_pinned.json").read_text())
     assert pinned_results() == pinned

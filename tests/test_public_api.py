@@ -31,16 +31,20 @@ def test_public_names_are_pinned():
 
 
 def test_import_leaves_mpmath_unloaded():
-    """mpmath is imported by expected_rainbow_count alone, so a CLI start or
-    an import of the package does not pay for it."""
+    """mpmath is imported by expected_rainbow_count alone and networkx by
+    search_conjecture alone, and nothing imports scipy, so a CLI start or an
+    import of the package pays for none of them."""
     src = str(Path(tropidom.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, tropidom, tropidom.cli; "
+        "print(sorted({'mpmath', 'networkx', 'scipy'} & set(sys.modules)))"
+    )
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, tropidom; print('mpmath' in sys.modules)"],
-        env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\n"
 
 
 def test_readme_example():
