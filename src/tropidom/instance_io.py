@@ -9,7 +9,9 @@ Layout (ASCII, LF endings):
     i <id> <l> <r>              optional interval representation, all-or-none
 
 Lines break as str.splitlines breaks them, fields are separated by any
-whitespace, and a field is an integer when int() accepts it.
+whitespace, and a field is an integer when int() accepts it. A comment whose
+first field is "legend" is a legend line: it holds an integer colour, given
+on no other legend line, and one label.
 
 Any deviation is rejected with a line-numbered ParseError. It names the first
 offending line, with the message that checking the lines one at a time, in
@@ -144,6 +146,26 @@ def _records(text: str, rows: np.ndarray, tag: str, what: str, width: int):
     return fields.reshape(k, width), stop
 
 
+def _legend(lines: list[str], rows: list[int]):
+    """The legend read from the comment lines at rows, and (line number,
+    message) for the first malformed legend line among them, or None."""
+    legend: dict[int, str] = {}
+    for r in rows:
+        parts = lines[r][1:].split()
+        if not parts or parts[0] != "legend":
+            continue
+        if len(parts) != 3:
+            return legend, (r + 1, f"legend line needs 2 fields, got {len(parts) - 1}")
+        try:
+            k = int(parts[1])
+        except ValueError:
+            return legend, (r + 1, "legend line has a non-integer colour")
+        if k in legend:
+            return legend, (r + 1, f"legend colour {k} declared twice")
+        legend[k] = parts[2]
+    return legend, None
+
+
 def _repeats(ids: np.ndarray) -> np.ndarray:
     """True where an id equals an earlier one."""
     order = np.argsort(ids, kind="stable")
@@ -170,23 +192,25 @@ def _first_failure(rows: np.ndarray, checks) -> tuple[int, str] | None:
 def parse_instance(text: str) -> Instance:
     lines = text.splitlines()
     kind = _kinds(lines)
+    legend, bad_legend = _legend(lines, np.flatnonzero(kind == _COMMENT).tolist())
     non_comment = np.flatnonzero(kind != _COMMENT)
     if not non_comment.size:
-        raise ParseError(1, "missing 'p tdgs' header")
+        raise ParseError(*(bad_legend or (1, "missing 'p tdgs' header")))
     h = int(non_comment[0])
+    if bad_legend and bad_legend[0] <= h:
+        raise ParseError(*bad_legend)
     if kind[h] != _P:
         raise ParseError(h + 1, "blank line not allowed" if kind[h] == _BLANK else "record before 'p tdgs' header")
     header_line = h + 1
     n, m, c = _header(lines[h], header_line)
 
-    failures = []
+    failures = [bad_legend]
     stray = np.flatnonzero(_STRAY[kind[header_line:]])
     if stray.size:
         i = header_line + int(stray[0])
         failures.append((i + 1, {_P: "duplicate header", _BLANK: "blank line not allowed"}.get(
             int(kind[i]), f"unknown record tag '{_first_field(lines[i])}'")))
 
-    comments = list(map(lines.__getitem__, np.flatnonzero(kind == _COMMENT).tolist()))
     rows = [np.flatnonzero(kind == tag) for tag in (_V, _E, _I)]
     texts = ["\n".join(map(lines.__getitem__, r.tolist())) for r in rows]
     del lines  # the records' texts hold what is left to read
@@ -234,14 +258,6 @@ def parse_instance(text: str) -> Instance:
     if g.c != c:
         raise ParseError(header_line, f"header declares c={c} but max colour is {g.c}")
     intervals = dict(zip(iids.tolist(), zip(lo.tolist(), hi.tolist())))
-    legend: dict[int, str] = {}
-    for line in comments:
-        parts = line[1:].split()
-        if len(parts) == 3 and parts[0] == "legend":
-            try:
-                legend[int(parts[1])] = parts[2]
-            except ValueError:
-                pass
     return Instance(graph=g, intervals=intervals or None, legend=legend)
 
 

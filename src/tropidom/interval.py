@@ -1,11 +1,12 @@
 """Fixed-parameter algorithm for tropical domination on interval graphs.
 
-Vertices are reordered non-decreasingly by right endpoint (ties by vertex
-id). In that order position i meets exactly the earlier positions a_i..i-1,
-where a_i is the least position whose right endpoint reaches l_i; the
-representation is checked against the graph by that rule in O(n log n + m),
-edge by edge and by per-vertex counts of meeting partners, without listing
-the meeting pairs.
+build_interval_instance sorts the vertices once, non-decreasingly by right
+endpoint (ties by vertex id). In that order position i meets exactly the
+earlier positions a_i..i-1, where a_i is the least position whose right
+endpoint reaches l_i; the representation is checked against the graph by
+that rule in O(n log n + m), edge by edge and by per-vertex counts of meeting
+partners, without listing the meeting pairs. The instance keeps only the
+order and every a_i, which is all the DP reads of the representation.
 The only vertex of a one-vertex colour class is in every tropical set, so
 those vertices F are taken up front; the DP then runs over c', the colours
 with two or more vertices, and has to dominate only the positions outside
@@ -24,7 +25,6 @@ in one row-sized buffer, so no other buffer is wider than a row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -39,23 +39,18 @@ TABLE_BYTES = 1 << 30  # largest DP table tdn_interval allocates
 class IntervalInstance:
     graph: ColouredGraph
     order: tuple[int, ...]  # order[i-1] = original vertex id at sorted position i
-    l: tuple[int, ...]  # endpoints in sorted-position indexing (index 0 = pos 1)
-    r: tuple[int, ...]
+    a: tuple[int, ...]  # a[i-1] = a_i - 1, the least position (0-based) that position i meets
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    @cached_property
-    def colour_at(self) -> tuple[int, ...]:
-        """Colour by sorted position."""
-        return tuple(self.graph.colour[v - 1] for v in self.order)
-
 
 def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstance:
-    """Sort by right endpoint and check the representation {v: (l, r)}
-    matches g. Without one, a path gets path_intervals laid along
-    path_order(g); any other graph raises NoRepresentationError."""
+    """Sort by right endpoint, find each position's window start a_i and
+    check the representation {v: (l, r)} matches g. Without one, a path gets
+    path_intervals laid along path_order(g); any other graph raises
+    NoRepresentationError."""
     if intervals is None:
         order = path_order(g)
         if order is None:
@@ -73,6 +68,9 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
     pairs = [intervals[v] for v in g.vertices]
     n, ends = g.n, np.array(pairs)
+    if ends.dtype.kind == "f":
+        # float64 rounds integers beyond 2^53; Python objects compare exactly
+        ends = np.array(pairs, dtype=object)
     order = np.argsort(ends[:, 1], kind="stable")  # by (r, id)
     # with r sorted and l <= r, position i meets exactly the positions a_i..i-1
     # before it, the rule _windows uses
@@ -109,13 +107,7 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
             f"pair ({u},{v}): intervals {'meet' if absent else 'miss'} "
             f"but edge is {'absent' if absent else 'present'}"
         )
-    order = order.tolist()
-    return IntervalInstance(
-        graph=g,
-        order=tuple(v + 1 for v in order),
-        l=tuple(pairs[k][0] for k in order),
-        r=tuple(pairs[k][1] for k in order),
-    )
+    return IntervalInstance(graph=g, order=tuple((order + 1).tolist()), a=tuple(a.tolist()))
 
 
 def _table_dtype(n: int, c: int) -> np.dtype:
@@ -128,8 +120,9 @@ def _table_dtype(n: int, c: int) -> np.dtype:
     return np.min_scalar_type(2 * n + c + 1)
 
 
-def _windows(inst: IntervalInstance):
-    """The forced positions, lo (by position) and the first end position.
+def _windows(a, forced):
+    """lo (by position) and the first end position, from the window starts
+    a (a[i-1] = a_i - 1) and the forced positions.
 
     A position is forced when its colour has one vertex. That vertex is in
     every tropical set, so the forced set F is taken whole and the DP has to
@@ -148,11 +141,7 @@ def _windows(inst: IntervalInstance):
     required positions when none of them misses j, so the ends are
     reach[n] + 1..n.
     """
-    n = inst.n
-    colour = np.array(inst.colour_at)
-    forced = (np.bincount(colour) == 1)[colour]
-    # a_i - 1, where a_i is the least position j with r_j >= l_i (r is sorted)
-    a = np.searchsorted(np.array(inst.r), np.array(inst.l))
+    n = len(a)
     k = np.arange(n)
     # the least a_p over the forced p >= k, and the last forced p <= k
     later = np.minimum.accumulate(np.where(forced, a, n)[::-1])[::-1]
@@ -160,7 +149,7 @@ def _windows(inst: IntervalInstance):
     required = (later > k) & (a > earlier)
     missed = np.where(required, np.minimum(k, a), -1)
     reach = np.maximum.accumulate(np.concatenate(([-1], missed)))
-    return forced, reach[a] + 1, int(reach[n]) + 1
+    return reach[a] + 1, int(reach[n]) + 1
 
 
 def _fill_table(n: int, width: int, free, lo, bit) -> np.ndarray:
@@ -229,7 +218,7 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
     """
     g = inst.graph
     c, n = g.c, inst.n
-    colour = np.array(inst.colour_at)
+    colour = np.array(g.colour)[np.array(inst.order) - 1]  # by position
     # bit k of a subset stands for the k-th least colour with two or more
     # vertices
     shared = np.bincount(colour) > 1
@@ -240,7 +229,8 @@ def tdn_interval(inst: IntervalInstance) -> SolveResult:
             f"c={c}, of which {width} have two or more vertices, n={n}: "
             f"the DP table needs {size} bytes, over the limit of {TABLE_BYTES}"
         )
-    forced, lo, first_end = _windows(inst)
+    forced = ~shared[colour]
+    lo, first_end = _windows(np.array(inst.a), forced)
     free = (np.flatnonzero(~forced) + 1).tolist()
     lo, bit = lo.tolist(), (np.cumsum(shared) - 1)[colour].tolist()
     f = _fill_table(n, width, free, lo, bit)

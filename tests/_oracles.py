@@ -239,11 +239,16 @@ def reference_parse(text):
     for line_no, line in enumerate(text.splitlines(), start=1):
         if line.startswith("#"):
             parts = line[1:].split()
-            if len(parts) == 3 and parts[0] == "legend":
+            if parts[:1] == ["legend"]:
+                if len(parts) != 3:
+                    return "error", line_no, f"legend line needs 2 fields, got {len(parts) - 1}"
                 try:
-                    legend[int(parts[1])] = parts[2]
+                    colour = int(parts[1])
                 except ValueError:
-                    pass
+                    return "error", line_no, "legend line has a non-integer colour"
+                if colour in legend:
+                    return "error", line_no, f"legend colour {colour} declared twice"
+                legend[colour] = parts[2]
             continue
         fields = line.split()
         if not fields:

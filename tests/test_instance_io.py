@@ -128,6 +128,13 @@ def test_write_refuses_what_does_not_read_back(intervals, legend, error, message
         ("p tdgs 2 0 1\nv 1\nv v 1 2\n", 2),  # short record, then a long one holding the tag
         ("p tdgs 2 0 1\nv 1 1\nv 1 5\n", 3),  # repeat checked before colour
         ("p tdgs 1 0 1\nv 1 1\ni 1 3 2\n", 3),  # the only interval line
+        ("# legend 1 my label\np tdgs 1 0 1\nv 1 1\n", 1),  # legend label with a space
+        ("p tdgs 1 0 1\nv 1 1\n# legend x B\n", 3),  # non-integer legend colour
+        ("# legend 1 A\n#legend +1 B\np tdgs 1 0 1\nv 1 1\n", 2),  # legend colour twice
+        ("# legend\n", 1),  # a bare legend line wins over the missing header
+        ("# legend 1\nv 1 1\np tdgs 1 0 1\n", 1),  # before a record before the header
+        ("p tdgs 2 0 1\nv 1 1\n# legend 2\nv 3 1\n", 3),  # before a later bad record
+        ("p tdgs 2 0 1\nv 1 1\nv 3 1\n# legend 2\n", 3),  # after an earlier bad record
     ],
 )
 def test_rejections_carry_line_numbers(text, line):
@@ -166,6 +173,13 @@ REJECTION_MESSAGES = {
     "p tdgs 2 0 1\nv 1\nv v 1 2\n": "vertex line needs 2 fields, got 1",
     "p tdgs 2 0 1\nv 1 1\nv 1 5\n": "vertex 1 declared twice",
     "p tdgs 1 0 1\nv 1 1\ni 1 3 2\n": "interval [3,2] has l > r",
+    "# legend 1 my label\np tdgs 1 0 1\nv 1 1\n": "legend line needs 2 fields, got 3",
+    "p tdgs 1 0 1\nv 1 1\n# legend x B\n": "legend line has a non-integer colour",
+    "# legend 1 A\n#legend +1 B\np tdgs 1 0 1\nv 1 1\n": "legend colour 1 declared twice",
+    "# legend\n": "legend line needs 2 fields, got 0",
+    "# legend 1\nv 1 1\np tdgs 1 0 1\n": "legend line needs 2 fields, got 1",
+    "p tdgs 2 0 1\nv 1 1\n# legend 2\nv 3 1\n": "legend line needs 2 fields, got 1",
+    "p tdgs 2 0 1\nv 1 1\nv 3 1\n# legend 2\n": "vertex id 3 outside 1..2",
 }
 
 

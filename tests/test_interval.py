@@ -28,8 +28,8 @@ from tropidom.errors import NoRepresentationError, RepresentationMismatchError, 
 from tropidom.graph import ColouredGraph
 
 PAIRS = {1: (0, 2), 2: (1, 3), 3: (4, 5)}
-# integer endpoints as they are, as floats, and beyond int64
-ENDPOINTS = [lambda x: x, lambda x: x + 0.5, lambda x: x * 10**30 - 7]
+# integer endpoints as they are, as floats, beyond int64, and scaled and shifted
+ENDPOINTS = [lambda x: x, lambda x: x + 0.5, lambda x: x * 10**30 - 7, lambda x: 3 * x + 0.5]
 
 
 def spec_instance():
@@ -40,11 +40,23 @@ def spec_instance():
 class TestBuild:
     def test_valid_representation(self):
         g = build(3, [(1, 2)], [1, 2, 1])
+        first = build_interval_instance(g, PAIRS)
         for f in ENDPOINTS:
             inst = build_interval_instance(g, {v: (f(lv), f(rv)) for v, (lv, rv) in PAIRS.items()})
-            assert inst.order == (1, 2, 3)
-            assert inst.l == tuple(map(f, (0, 1, 4))) and inst.r == tuple(map(f, (2, 3, 5)))
+            assert inst.order == (1, 2, 3) and inst.a == (0, 0, 2)
+            assert inst == first and hash(inst) == hash(first)
             assert tdn_interval(inst).value == 2
+
+    def test_endpoints_compared_exactly(self):
+        # one float endpoint made float64 of all of them, which rounds 2^60 + 1
+        # and 2^60 + 2 to 2^60: intervals 1 and 2 seemed to meet
+        big = 2**60
+        pairs = {1: (big, big + 1), 2: (big + 2, big + 3), 3: (0.5, 1)}
+        inst = build_interval_instance(build(3, [], [1, 1, 1]), pairs)
+        assert inst.order == (3, 1, 2) and inst.a == (0, 1, 2)
+        with pytest.raises(RepresentationMismatchError) as exc:
+            build_interval_instance(build(3, [(1, 2)], [1, 1, 1]), pairs)
+        assert str(exc.value) == "pair (1,2): intervals miss but edge is present"
 
     def test_mismatch_rejected(self):
         cases = [(build(3, [(1, 3)], [1, 2, 1]), PAIRS, "pair (1,2): intervals meet but edge is absent")]
@@ -101,7 +113,9 @@ class TestBuild:
         assert order == [3, 2, 5, 1, 4]
         canon = path_intervals(5)
         laid = {v: canon[i] for i, v in enumerate(order, 1)}
-        assert build_interval_instance(g) == build_interval_instance(g, laid)
+        inst = build_interval_instance(g)
+        assert inst == build_interval_instance(g, laid)
+        assert hash(inst) == hash(build_interval_instance(g, laid))
         assert build_interval_instance(build(1, [], [1])).order == (1,)
 
     @pytest.mark.parametrize("n, edges", [
@@ -180,17 +194,30 @@ class TestBuild:
             assert inst.order == (3, 1, 2)
 
 
+def colours_by_position(inst):
+    return [inst.graph.colour[v - 1] for v in inst.order]
+
+
+def forced_positions(inst):
+    """True at the positions whose colour has one vertex."""
+    colours = colours_by_position(inst)
+    return np.array([colours.count(k) == 1 for k in colours])
+
+
 def windows(inst):
     """The forced positions, the predecessor windows P_i = lo_i..i-1 of the
     DP as tuples, and its first end position."""
-    forced, lo, first_end = interval._windows(inst)
+    forced = forced_positions(inst)
+    lo, first_end = interval._windows(np.array(inst.a), forced)
     P = tuple(tuple(range(j, i)) for i, j in enumerate(lo.tolist(), start=1))
     return tuple(forced.tolist()), P, first_end
 
 
-def oracle_windows(inst):
-    """The same from the definition oracle."""
-    return brute_windows(inst.l, inst.r, list(inst.colour_at))
+def oracle_windows(inst, pairs):
+    """The same from the definition oracle, fed the caller's own intervals
+    in the instance's order."""
+    l, r = zip(*(pairs[v] for v in inst.order))
+    return brute_windows(l, r, colours_by_position(inst))
 
 
 @st.composite
@@ -219,13 +246,13 @@ class TestPrefixTables:
         inst = spec_instance()
         # colour 2 has one vertex, at position 2, which positions 1 and 2
         # meet: only position 3 is required, and only prefixes to 3 reach it
-        assert windows(inst) == oracle_windows(inst) == (
+        assert windows(inst) == oracle_windows(inst, PAIRS) == (
             (False, True, False), ((0,), (0, 1), (0, 1, 2)), 3
         )
         # with one colour nothing is forced: b = (1, 3, 3, 4), so n + 1 = 4
         # first at j = 3
         inst = build_interval_instance(build(3, [(1, 2)], [1, 1, 1]), PAIRS)
-        assert windows(inst) == oracle_windows(inst) == (
+        assert windows(inst) == oracle_windows(inst, PAIRS) == (
             (False, False, False), ((0,), (0, 1), (1, 2)), 3
         )
 
@@ -240,7 +267,7 @@ class TestPrefixTables:
             n_max, span = (300, 40) if k % 20 == 0 else (30, int(rng.integers(2, 12)))
             n, edges, colours, pairs = random_interval_instance(rng, n_max=n_max, span=span)
             inst = build_interval_instance(build(n, edges, colours), pairs)
-            assert windows(inst) == oracle_windows(inst)
+            assert windows(inst) == oracle_windows(inst, pairs)
         # 500 intervals on [0, 40] meet most earlier ones: long windows
         n = 500
         rng = np.random.default_rng(74)
@@ -250,12 +277,12 @@ class TestPrefixTables:
             if pairs[u][0] <= pairs[v][1] and pairs[v][0] <= pairs[u][1]
         ]
         inst = build_interval_instance(build(n, edges, [1] * n), pairs)
-        assert windows(inst) == oracle_windows(inst)
+        assert windows(inst) == oracle_windows(inst, pairs)
         rng = np.random.default_rng(75)
         for _ in range(60):
             n, edges, colours, pairs = random_interval_instance(rng, n_max=40, span=12)
             inst = build_interval_instance(build(n, edges, colours), pairs)
-            assert windows(inst) == oracle_windows(inst)
+            assert windows(inst) == oracle_windows(inst, pairs)
             if n <= 16:
                 assert tdn_interval(inst).value == brute_gamma_t(n, edges, colours)
 
@@ -282,7 +309,7 @@ def test_one_vertex_colours_match_oracles(case):
     n, edges, colours, pairs = case
     g = build(n, edges, colours)
     inst = build_interval_instance(g, pairs)
-    assert windows(inst) == oracle_windows(inst)
+    assert windows(inst) == oracle_windows(inst, pairs)
     res = tdn_interval(inst)
     assert res.value == len(res.witness) == brute_gamma_t(n, edges, colours)
     assert is_dominating(g, res.witness) and is_tropical(g, res.witness)
@@ -382,8 +409,9 @@ class TestTdn:
         cases.append((g, {v: (v, n + v) for v in range(1, n + 1)}))
         for g, pairs in cases:
             inst = build_interval_instance(g, pairs)
-            n, colours = inst.n, inst.colour_at
-            forced, lo, _ = interval._windows(inst)
+            n, colours = inst.n, colours_by_position(inst)
+            forced = forced_positions(inst)
+            lo, _ = interval._windows(np.array(inst.a), forced)
             shared = sorted({k for k in colours if colours.count(k) > 1})
             width = len(shared)
             bit = [shared.index(k) if k in shared else -1 for k in colours]
