@@ -17,11 +17,22 @@ Any deviation is rejected with a line-numbered ParseError. It names the first
 offending line, with the message that checking the lines one at a time, in
 order, would give.
 
-The parser works in bulk rather than line by line: it splits the text into
-lines once, groups the lines by record tag, converts each record kind's
-integer fields with one numpy call and runs every check as a whole-array
-comparison. When a check fails, the first failing record of each kind is
-found from its mask, and the earliest of those lines is reported.
+parse_instance has two readers and one checker. The plain reader takes texts
+of the plain shape, the shape the writer gives: ASCII with no control byte
+but tab and LF, comment lines only before a header line that starts with
+"p ", and after it only v, e and i records with 2, 2 and 3 fields, each
+field at most 18 digits with an optional minus sign. It decodes all records
+in one pass of numpy operations over the text's bytes: line starts, field
+edges from where the digit mask changes, and the digits converted column by
+column. At the first sign of any other shape it hands the text to the line
+reader, which splits it into lines once, groups the lines by record tag and
+converts each record kind's integer fields with one numpy call. Both give
+their integer arrays and record line numbers to one checker, which runs
+every check as a whole-array comparison; when a check fails, the first
+failing record of each kind is found from its mask, and the earliest of
+those lines is reported. So the spellings accepted, every error message
+and its line number are those of the line reader alone, whichever reader
+read the text.
 
 The writer gives the canonical text: legend comments, the header, v lines in
 id order, then the e lines in the sorted order build stores, formatted by one
@@ -189,7 +200,100 @@ def _first_failure(rows: np.ndarray, checks) -> tuple[int, str] | None:
     return int(rows[r]) + 1, next(message(r) for mask, message in checks if mask[r])
 
 
-def parse_instance(text: str) -> Instance:
+# The plain reader's tables. _CODE maps a byte to its digit value, or to one
+# of the codes after it; _WIDTH gives the number of integer fields of a v, e
+# or i record, and _POW10[k] the weight of the digit k places from a field's
+# right end.
+_SEP, _MINUS, _LF, _OTHER, _CONTROL = range(10, 15)
+_CODE = bytearray([_CONTROL]) * 256
+_CODE[32:128] = bytes([_OTHER]) * 96
+_CODE[48:58] = range(10)
+_CODE[ord(" ")] = _CODE[ord("\t")] = _SEP
+_CODE[ord("-")] = _MINUS
+_CODE[ord("\n")] = _LF
+_CODE = bytes(_CODE)
+_WIDTH = np.zeros(256, np.int64)
+_WIDTH[[_V, _E, _I]] = 2, 2, 3
+_POW10 = 10 ** np.arange(18, dtype=np.int64)
+
+
+def _read_plain(text: str):
+    """_check's arguments for a text of the plain shape, or None for any other.
+
+    The plain shape is the writer's: ASCII with no control byte but tab and
+    LF; comment lines only before a header line that starts with "p "; after
+    it only v, e and i records by _KIND, each with 2, 2 or 3 fields, whose
+    bytes after the tag are spaces, tabs and fields of at most 18 digits with
+    an optional minus sign. The records are decoded by numpy operations over
+    the text's bytes, and a record's line number is the header's plus one
+    plus its index among the records.
+    """
+    if not text.isascii():
+        return None
+    data = text.encode("ascii")
+    if not data.endswith(b"\n"):
+        data += b"\n"
+    if data.endswith(b"\n\n"):  # a blank last line has no second byte for _KIND
+        return None
+    code = np.frombuffer(data.translate(_CODE), np.uint8)
+    if code.max() == _CONTROL:
+        return None
+    hs = 0  # the header's start, once the comment lines are past
+    while data.startswith(b"#", hs):
+        hs = data.index(b"\n", hs) + 1
+    b0 = data.find(b"\n", hs) + 1  # the first record line's start
+    if not data.startswith(b"p ", hs) or b0 == len(data):
+        return None
+    comments = text[:hs].split("\n")[:-1]
+    legend, bad_legend = _legend(comments, range(len(comments)))
+    if bad_legend:
+        return None
+    header_line = len(comments) + 1
+    header = _header(text[hs : b0 - 1], header_line)
+
+    body = code[b0:]
+    ends = np.flatnonzero(body == _LF)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    raw = np.frombuffer(data, np.uint8, offset=b0)
+    kind = _KIND[raw[starts], raw[starts + 1]]
+    width = _WIDTH[kind]
+    if not width.all() or np.count_nonzero(body == _OTHER) != len(kind):
+        return None  # a line that is no record, or a byte no record holds
+    digit = body < 10
+    edge = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    first, last = edge[::2], edge[1::2]  # field f is body[first[f]:last[f]]
+    # Record j holds fields cum[j] - width[j] to cum[j] - 1 when the first
+    # of them starts past its tag and the last before its LF.
+    cum = np.cumsum(width)
+    if len(first) != cum[-1] or (first[cum - width] < starts).any() or (first[cum - 1] > ends).any():
+        return None
+    digits = last - first
+    top = int(digits.max())
+    if top > len(_POW10):
+        return None
+    # Each digit times its power of ten, one column at a time from the right;
+    # column k of a field shorter than k digits adds nothing, and its index,
+    # which can fall before the body's start, is clipped
+    values = body[last - 1].astype(np.int64)
+    for k in range(2, top + 1):
+        values += np.where(digits >= k, body.take(last - k, mode="clip"), 0) * _POW10[k - 1]
+    if data.find(b"-", b0) >= 0:
+        at = np.flatnonzero(body == _MINUS)
+        if not digit[at + 1].all() or (body[at - 1] != _SEP).any():
+            return None  # a minus sign stands only between a separator and a digit
+        np.negative(values, out=values, where=body[first - 1] == _MINUS)
+
+    rows = np.arange(header_line, header_line + len(kind))
+    records = []
+    for tag in (_V, _E, _I):
+        mine = kind == tag
+        records.append((values[np.repeat(mine, width)].reshape(-1, _WIDTH[tag]), rows[mine]))
+    return header_line, header, legend, [], records
+
+
+def _read_lines(text: str):
+    """_check's arguments for any text, read line by line; a fault in or
+    before the header line raises its ParseError here."""
     lines = text.splitlines()
     kind = _kinds(lines)
     legend, bad_legend = _legend(lines, np.flatnonzero(kind == _COMMENT).tolist())
@@ -202,7 +306,7 @@ def parse_instance(text: str) -> Instance:
     if kind[h] != _P:
         raise ParseError(h + 1, "blank line not allowed" if kind[h] == _BLANK else "record before 'p tdgs' header")
     header_line = h + 1
-    n, m, c = _header(lines[h], header_line)
+    header = _header(lines[h], header_line)
 
     failures = [bad_legend]
     stray = np.flatnonzero(_STRAY[kind[header_line:]])
@@ -214,29 +318,41 @@ def parse_instance(text: str) -> Instance:
     rows = [np.flatnonzero(kind == tag) for tag in (_V, _E, _I)]
     texts = ["\n".join(map(lines.__getitem__, r.tolist())) for r in rows]
     del lines  # the records' texts hold what is left to read
+    records = []
+    for chunk, r, (tag, what, width) in zip(texts, rows, [("v", "vertex", 2), ("e", "edge", 2), ("i", "interval", 3)]):
+        fields, stop = _records(chunk, r, tag, what, width)
+        failures.append(stop)
+        records.append((fields, r))
+    return header_line, header, legend, failures, records
 
+
+def _check(header_line, header, legend, failures, records) -> Instance:
+    """The instance a reader's records describe, or the ParseError of the
+    first line a line-by-line check rejects.
+
+    failures holds (line number, message) or None for what the reader found
+    wrong; records holds, for the v, e and i records in turn, their integer
+    fields up to the first that did not convert and their 0-based line
+    indices.
+    """
+    n, m, c = header
+    (v, v_rows), (edges, e_rows), (iv, i_rows) = records
     # a record that fails a check lies before the record that stopped its
     # kind's conversion, and min() below picks the earlier one
-    v, stop = _records(texts[0], rows[0], "v", "vertex", 2)
     ids, cols = v.T
-    failures += stop, _first_failure(rows[0], [
+    failures.append(_first_failure(v_rows, [
         ((ids < 1) | (ids > n), lambda r: f"vertex id {ids[r]} outside 1..{n}"),
         (_repeats(ids), lambda r: f"vertex {ids[r]} declared twice"),
         ((cols < 1) | (cols > c), lambda r: f"colour {cols[r]} outside 1..{c}"),
-    ])
-
-    edges, stop = _records(texts[1], rows[1], "e", "edge", 2)
+    ]))
     us, vs = edges.T
-    failures += stop, _first_failure(rows[1], [
+    failures.append(_first_failure(e_rows, [
         ((us < 1) | (us > n) | (vs < 1) | (vs > n), lambda r: f"edge endpoint outside 1..{n}"),
         (us >= vs, lambda r: "edges must satisfy u < v"),
-    ])
-
-    iv, stop = _records(texts[2], rows[2], "i", "interval", 3)
+    ]))
     iids, lo, hi = iv.T
-    failures.append(stop)
     if len(iv):  # most instances carry no intervals
-        failures.append(_first_failure(rows[2], [
+        failures.append(_first_failure(i_rows, [
             ((iids < 1) | (iids > n), lambda r: f"interval id {iids[r]} outside 1..{n}"),
             (_repeats(iids), lambda r: f"interval for vertex {iids[r]} declared twice"),
             (lo > hi, lambda r: f"interval [{lo[r]},{hi[r]}] has l > r"),
@@ -259,6 +375,10 @@ def parse_instance(text: str) -> Instance:
         raise ParseError(header_line, f"header declares c={c} but max colour is {g.c}")
     intervals = dict(zip(iids.tolist(), zip(lo.tolist(), hi.tolist())))
     return Instance(graph=g, intervals=intervals or None, legend=legend)
+
+
+def parse_instance(text: str) -> Instance:
+    return _check(*(_read_plain(text) or _read_lines(text)))
 
 
 def write_instance(

@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import random_coloured_graph, reference_parse
-from tropidom import Instance, build, gen_gnpc, parse_instance, write_instance
+from tropidom import Instance, build, gen_gnpc, instance_io, parse_instance, write_instance
 from tropidom.errors import ParseError, RepresentationMismatchError
 
 GOOD = """\
@@ -283,8 +283,56 @@ def mutated_texts(draw):
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
+# Texts on both sides of the edge of the plain shape: the plain reader
+# decodes those of its shape and hands the others to the line reader, and
+# each must read as reference_parse reads it.
+PLAIN_EDGE = [
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 10 1000\ni 2 1 5\n",  # last field shorter than the longest
+    "# x\x0b# legend 1 X\np tdgs 1 0 1\nv 1 1\n",  # \x0b breaks a comment line
+    "p tdgs 1 0 1\x0cv 1 1\n",  # \x0c breaks the header line
+    "# legend 1 B\r\np tdgs 2 1 1\r\nv 1 1\r\nv 2 1\r\ne 1 2\r\n",  # CRLF
+    "p tdgs 2 1 1\nv\t1  1\nv 2\t\t1 \ne  1 \t2\n",  # tabs and runs of spaces
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2",  # no trailing newline
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\n\n",  # a blank last line
+    "p tdgs 1 0 1\n# legend 1 A\nv 1 1\n",  # a comment after the header
+    "p tdgs 1 0 1\nv 0000000000000000001 1\n",  # a zero-padded 19-digit field
+    "p tdgs 1 0 1\nv 1 1000000000000000001\n",  # a 19-digit field
+    "p tdgs 1 0 1\nv 1 1\ni 1 -3 2\n",  # a negative endpoint
+    "p tdgs 1 0 1\nv 1 1\ni 1 -3 -2\n",
+    "p tdgs 1 0 1\nv 1 1\ni 1 3-2 5\n",  # a minus sign inside a field
+    "p tdgs 1 0 1\nv 1 1\ni 1 - 2 5\n",  # a minus sign alone
+    "p tdgs 1 0 1\nv-1 1\n",  # a minus sign right after the tag
+    "p tdgs 1 0 1\nv1 1\n",  # a digit right after the tag
+    "p tdgs 2 0 1\nv 1\nv 2 1 1\n",  # a field that moved to the next record
+    "p tdgs 2 0 1\nv 1 1 2\nv 1\n",  # a field that moved to the record before
+    "p tdgs 2 1 1\nv 1 1\nv 3 1\ne 1 2\n",  # vertex id outside 1..n
+    "p tdgs 2 1 1\nv 1 1\nv 1 1\ne 1 2\n",  # a repeated vertex
+    "p tdgs 2 1 1\nv 1 1\nv 2 2\ne 1 2\n",  # colour outside 1..c
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 3\n",  # endpoint outside 1..n
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 2 1\n",  # u >= v
+    "p tdgs 2 2 1\nv 1 1\nv 2 1\ne 1 2\ne 1 2\n",  # a duplicate edge, found by build
+    "p tdgs 3 1 1\nv 1 1\nv 2 1\ne 1 2\n",  # too few v lines
+    "p tdgs 2 2 1\nv 1 1\nv 2 1\ne 1 2\n",  # too few e lines
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 1\n",  # partial i lines
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 3 0 1\ni 1 0 1\n",  # interval id outside 1..n
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 0 1\ni 1 0 1\n",  # a repeated interval
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 3 2\ni 2 0 1\n",  # l > r
+    "p tdgs 2 1 2\nv 1 2\nv 2 2\ne 1 2\n",  # colour 1 unused, found by build
+    "p tdgs 2 1 3\nv 1 1\nv 2 2\ne 1 2\n",  # header c above the largest colour
+]
+
+
+def _examples(rows):
+    def decorate(test):
+        for text in reversed(rows):
+            test = example(text)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=400, deadline=None)
 @given(mutated_texts())
+@_examples(PLAIN_EDGE)
 def test_bulk_parse_matches_reference_parse(text):
     ref = reference_parse(text)
     got = _outcome(text)
@@ -309,3 +357,20 @@ def test_parse_peak_memory_stays_near_the_line_loop():
             tracemalloc.stop()
 
     assert peak(parse_instance) <= 1.5 * peak(reference_parse)
+
+
+def _no_line_reader(text):
+    raise AssertionError("the line reader was asked to read the writer's text")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    interval_instances(),
+    st.builds(lambda n, p, c, seed: Instance(gen_gnpc(n, p, c, seed=seed), None, {}),
+              st.integers(20, 120), st.sampled_from([0.05, 0.2, 0.5]), st.integers(1, 5), st.integers(0, 99)),
+))
+def test_writer_output_takes_the_plain_reader(inst):
+    text = write_instance(inst.graph, intervals=inst.intervals, legend=inst.legend)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(instance_io, "_read_lines", _no_line_reader)
+        assert parse_instance(text) == inst
