@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import string
 import tracemalloc
 
@@ -8,8 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from _oracles import random_coloured_graph, reference_parse
-from tropidom import Instance, build, gen_gnpc, instance_io, parse_instance, write_instance
+from tropidom import (
+    Instance,
+    SubcubicGraph,
+    build,
+    gen_gnpc,
+    instance_io,
+    parse_instance,
+    vc_to_path,
+    write_instance,
+)
 from tropidom.errors import ParseError, RepresentationMismatchError
+from tropidom.interval import path_intervals
 
 GOOD = """\
 # legend 1 B
@@ -202,6 +213,51 @@ def test_writer_emits_lf_and_trailing_newline():
     text = write_instance(g)
     assert "\r" not in text
     assert text.endswith("\n") and not text.endswith("\n\n")
+
+
+def _pinned_vc_path():
+    art = vc_to_path(SubcubicGraph(4, ((1, 2), (2, 3), (3, 4), (1, 4), (1, 3))))
+    return art.path, path_intervals(art.path.n), art.colour_legend
+
+
+# SHA-256 of the writer's text for instances whose ids and colours cross
+# every digit-width boundary up to four digits
+WRITER_DIGESTS = [
+    pytest.param(lambda: (gen_gnpc(1, 0.5, 1, seed=1), None, None),
+                 "341382b8b28ec959b187aba6568b45d01f58e8fad684f4c1108801e412c307f3", id="n1-c1-m0"),
+    pytest.param(lambda: (gen_gnpc(9, 0.5, 9, seed=9), None, None),
+                 "b74ce53de89de60b2ef76b3e67df7bb302395fc9f87d70dc32cdc25618d2b7bb", id="n9-c9"),
+    pytest.param(lambda: (gen_gnpc(10, 0.4, 10, seed=10), None, None),
+                 "ec623c8a38b2e785bf03cbea965c0011d07850005397d1e37b5ec99d0b27a596", id="n10-c10"),
+    pytest.param(lambda: (gen_gnpc(99, 0.1, 12, seed=99), None, None),
+                 "670121436aefcb574446d57a4a1bcd61c1658520405c129619beeb00920f60fc", id="n99-c12"),
+    pytest.param(lambda: (gen_gnpc(100, 0.1, 10, seed=100), None, None),
+                 "dce94b0dcc38ff7d191b3bfc5df335ecf7dc12dfc8517b5ed0d17c297b48c9b1", id="n100-c10"),
+    pytest.param(lambda: (gen_gnpc(999, 0.01, 100, seed=999), None, None),
+                 "5f100b682ca92b83387f389a84a6e476e46e871922923576380ea69b88895af7", id="n999-c100"),
+    pytest.param(lambda: (gen_gnpc(1000, 0.004, 100, seed=1000), None, None),
+                 "81e1d4485a0baee0c65ccac96712392f2d476cf7f242a16e6927e11256360410", id="n1000-c100"),
+    pytest.param(lambda: (gen_gnpc(1001, 0.004, 12, seed=1001), None, None),
+                 "79ca051cdad0fe435126f4d47ff5a2e878ef4e17e591e75f791991ca475b04a3", id="n1001-c12"),
+    pytest.param(lambda: (gen_gnpc(3, 0.7, 1, seed=3), None, None),
+                 "78cc13e1d96d3767339d2d3459b7a3ae1cbbb918384772e5734761df3caa479c", id="n3-c1"),
+    pytest.param(lambda: (gen_gnpc(3, 0.7, 3, seed=3), None, None),
+                 "0da808e848e9eea6edbd00236423ad8a571de07586212d22b22a6fa37d162ace", id="n3-c3"),
+    pytest.param(lambda: (gen_gnpc(12, 0.01, 4, seed=2), None, None),
+                 "9302ed8a28bf18b63ad6d19e1c287f7eebb1855cf34a041d48ac9ec0d6d0658b", id="n12-m0"),
+    pytest.param(_pinned_vc_path,
+                 "6c73a1f9201fd2d96387e89c7b65159f0b9144c96160b880133373e34e9c1ffe", id="vc-path-legend"),
+    pytest.param(lambda: (build(3, [(1, 2), (2, 3)], [2, 1, 2]),
+                          {1: (-7, 0), 2: (0, 2**60), 3: (2**60, 2**60 + 5)}, {2: "X"}),
+                 "815f585c0fafcd5d5c7d07887a626c0cc4acb4c8de80d2edec0bd89bd3ba34d8", id="endpoints-2**60"),
+]
+
+
+@pytest.mark.parametrize("make, digest", WRITER_DIGESTS)
+def test_writer_bytes_pinned(make, digest):
+    g, intervals, legend = make()
+    text = write_instance(g, intervals=intervals, legend=legend)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def _outcome(text):
