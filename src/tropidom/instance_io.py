@@ -35,8 +35,13 @@ and its line number are those of the line reader alone, whichever reader
 read the text.
 
 The writer gives the canonical text: legend comments, the header, v lines in
-id order, then the e lines in the sorted order build stores, formatted by one
-%-call from the (m, 2) edge array the graph keeps, then any i lines by id.
+id order, then the e lines in the sorted order build stores, then any i lines
+by id. Every v and e record is a tag and two integers in 1..n, so both are
+laid into one line buffer of bytes, a row per record: the tag, a space, the
+first integer, a space, the second and LF, each integer a row of one digit
+table that spells 0..n right-aligned behind NUL padding. Dropping the NUL
+bytes leaves the records' text. Legend lines, the header and i lines, whose
+endpoints may lie beyond int64, are f-strings.
 Before writing anything it refuses what the parser would reject or read back
 differently: intervals that miss a vertex or have l > r
 (RepresentationMismatchError), and a non-integer endpoint or legend colour or
@@ -407,10 +412,29 @@ def write_instance(
             if lv > rv:
                 raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
             interval_lines.append(f"i {v} {lv} {rv}\n")
-    lines = []
-    for k in sorted(legend or {}):
-        lines.append(f"# legend {k} {legend[k]}")
-    lines.append(f"p tdgs {g.n} {g.m} {g.c}")
-    lines.extend(f"v {v} {g.colour[v - 1]}" for v in g.vertices)
-    edge_lines = ("e %d %d\n" * g.m) % tuple(g.edge_array.ravel().tolist())
-    return "\n".join(lines) + "\n" + edge_lines + "".join(interval_lines)
+    head = "".join(f"# legend {k} {legend[k]}\n" for k in sorted(legend or {}))
+    return head + f"p tdgs {g.n} {g.m} {g.c}\n" + _records_text(g) + "".join(interval_lines)
+
+
+def _records_text(g: ColouredGraph) -> str:
+    """The v lines then the e lines of g, laid out as in the module docstring."""
+    n, m = g.n, g.m
+    w = len(str(n))
+    # digits[k] is k written in w bytes, behind NUL bytes where it has fewer
+    # digits, as one void item; digits[0], all NUL, is never written, as ids
+    # and colours are >= 1
+    place = np.arange(n + 1)[:, None] // 10 ** np.arange(w - 1, -1, -1)
+    digits = np.where(place > 0, place % 10 + ord("0"), 0).astype(np.uint8).view(f"V{w}")[:, 0]
+    buf = np.zeros((n + m, 2 * w + 4), np.uint8)
+    buf[:n, 0] = ord("v")
+    buf[n:, 0] = ord("e")
+    buf[:, 1] = buf[:, w + 2] = ord(" ")
+    buf[:, -1] = ord("\n")
+    # the two integer fields of every record, each a void item
+    first = buf[:, 2 : w + 2].view(f"V{w}")[:, 0]
+    second = buf[:, w + 3 : -1].view(f"V{w}")[:, 0]
+    first[:n] = digits[1:]
+    second[:n] = digits.take(g.colour)
+    first[n:] = digits.take(g.edge_array[:, 0])
+    second[n:] = digits.take(g.edge_array[:, 1])
+    return buf.tobytes().translate(None, b"\0").decode("ascii")

@@ -330,3 +330,17 @@ def reference_parse(text):
     if top != c:
         return "error", header_line, f"header declares c={c} but max colour is {top}"
     return "ok", n, edges, by_vertex, intervals or None, legend
+
+
+def reference_write(n, colours, edges, intervals, legend):
+    """The `p tdgs` text of an instance, one f-string per line: legend
+    lines by colour, the header, v lines by id, e lines as sorted (lo, hi)
+    pairs, then i lines by id when intervals is not None."""
+    pairs = sorted((min(u, v), max(u, v)) for u, v in edges)
+    out = [f"# legend {k} {label}\n" for k, label in sorted((legend or {}).items())]
+    out.append(f"p tdgs {n} {len(pairs)} {max(colours)}\n")
+    out.extend(f"v {v} {colours[v - 1]}\n" for v in range(1, n + 1))
+    out.extend(f"e {u} {v}\n" for u, v in pairs)
+    if intervals is not None:
+        out.extend(f"i {v} {intervals[v][0]} {intervals[v][1]}\n" for v in range(1, n + 1))
+    return "".join(out)

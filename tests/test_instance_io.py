@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from _oracles import random_coloured_graph, reference_parse
+from _oracles import random_coloured_graph, reference_parse, reference_write
 from tropidom import (
     Instance,
     SubcubicGraph,
@@ -415,18 +415,40 @@ def test_parse_peak_memory_stays_near_the_line_loop():
     assert peak(parse_instance) <= 1.5 * peak(reference_parse)
 
 
+def test_write_peak_memory_stays_near_the_text():
+    g = gen_gnpc(300, 0.5, 5, seed=7)
+    text = write_instance(g)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_instance(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5.5 * len(text)
+
+
 def _no_line_reader(text):
     raise AssertionError("the line reader was asked to read the writer's text")
+
+
+def _gnpc_instance(n, p, c, seed):
+    # at most 20 expected neighbours a vertex, so that n = 1000 stays quick
+    return Instance(gen_gnpc(n, min(p, 20 / n), min(c, n), seed=seed), None, {})
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     interval_instances(),
-    st.builds(lambda n, p, c, seed: Instance(gen_gnpc(n, p, c, seed=seed), None, {}),
-              st.integers(20, 120), st.sampled_from([0.05, 0.2, 0.5]), st.integers(1, 5), st.integers(0, 99)),
+    st.builds(_gnpc_instance,
+              # ids on both sides of every digit-width boundary up to 1000, colours of 1 and 2 digits
+              st.one_of(st.integers(1, 120), st.sampled_from([9, 10, 99, 100, 999, 1000])),
+              st.sampled_from([0.05, 0.2, 0.5]), st.integers(1, 12), st.integers(0, 99)),
 ))
 def test_writer_output_takes_the_plain_reader(inst):
-    text = write_instance(inst.graph, intervals=inst.intervals, legend=inst.legend)
+    g = inst.graph
+    text = write_instance(g, intervals=inst.intervals, legend=inst.legend)
+    assert text == reference_write(g.n, list(g.colour), g.edge_array.tolist(), inst.intervals, inst.legend)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(instance_io, "_read_lines", _no_line_reader)
         assert parse_instance(text) == inst
