@@ -147,6 +147,10 @@ def _path_artifact(colours, legend, anchors, meta) -> ReductionArtifact:
 # the same doubles for one call of size a + b as for calls of size a then b,
 # so the block size bounds memory and leaves the graph unchanged.
 _BLOCK_PAIRS = 1 << 16
+# gen_gnpc draws the colours at most this many times. With c close to n a
+# draw that uses every colour is too rare to wait for (at n = c = 100 one in
+# about 1e42); a million draws at n = 100 took 11 s on a 2-CPU Xeon.
+_MAX_COLOUR_DRAWS = 10**6
 
 
 def gen_gnpc(n: int, p: float, c: int, seed) -> ColouredGraph:
@@ -155,7 +159,8 @@ def gen_gnpc(n: int, p: float, c: int, seed) -> ColouredGraph:
     One rng.random() coin per pair (u, v), u < v, in lexicographic order, as
     a per-pair loop would draw them. If some colour class comes out empty,
     only the colours are resampled; the number of resamples of the latest
-    call is kept in gen_gnpc.last_resamples.
+    call is kept in gen_gnpc.last_resamples. When none of _MAX_COLOUR_DRAWS
+    draws uses every colour, BadParametersError is raised.
     """
     if not (0 < p < 1) or not (1 <= c <= n):
         raise BadParametersError(f"need 0 < p < 1 and 1 <= c <= n, got p={p} c={c} n={n}")
@@ -171,12 +176,12 @@ def gen_gnpc(n: int, p: float, c: int, seed) -> ColouredGraph:
     hits = np.concatenate(blocks) if blocks else np.zeros(0, dtype=np.int64)
     u = np.searchsorted(starts, hits, side="right")
     edges = np.stack((u, hits - starts[u - 1] + u + 1), axis=1)
-    resamples = 0
-    while True:
+    for resamples in range(_MAX_COLOUR_DRAWS):
         colours = (rng.integers(0, c, size=n) + 1).tolist()
         if len(set(colours)) == c:
             break
-        resamples += 1
+    else:
+        raise BadParametersError(f"no colouring of n={n} vertices in {_MAX_COLOUR_DRAWS} draws used all c={c} colours")
     gen_gnpc.last_resamples = resamples
     return build(n, edges, colours)
 

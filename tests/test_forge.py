@@ -28,6 +28,7 @@ from tropidom import (
     vc_to_path,
     write_instance,
 )
+from tropidom.cli import EXIT_INPUT, main
 from tropidom.errors import (
     BadEpsilonError,
     BadParametersError,
@@ -168,6 +169,19 @@ class TestGnpc:
             gen_gnpc(5, 0.0, 1, seed=0)
         with pytest.raises(BadParametersError):
             gen_gnpc(5, 0.5, 6, seed=0)
+
+    def test_colour_draws_are_capped(self, monkeypatch, capsys, tmp_path):
+        # at n = c = 100 no draw uses every colour: the cap ends the wait
+        monkeypatch.setattr(forge, "_MAX_COLOUR_DRAWS", 100)
+        with pytest.raises(BadParametersError, match="n=100 .*c=100"):
+            gen_gnpc(100, 0.1, 100, seed=100)
+        out = tmp_path / "g.tdgs"
+        code = main(["gen", "gnpc", "-n", "100", "-p", "0.1", "-c", "100", "--seed", "100", "--out", str(out)])
+        assert code == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+        # a draw that needs resampling still returns within the cap
+        assert gen_gnpc(5, 0.5, 5, seed=4).c == 5 and gen_gnpc.last_resamples == 43
 
 
 class TestExtremal:

@@ -339,9 +339,9 @@ def mutated_texts(draw):
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
-# Texts on both sides of the edge of the plain shape: the plain reader
-# decodes those of its shape and hands the others to the line reader, and
-# each must read as reference_parse reads it.
+# Texts on both sides of the edge of the writer's own: its numbers are
+# decoded and written back, the texts that do not write back go to the line
+# reader, and each must read as reference_parse reads it.
 PLAIN_EDGE = [
     "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 10 1000\ni 2 1 5\n",  # last field shorter than the longest
     "# x\x0b# legend 1 X\np tdgs 1 0 1\nv 1 1\n",  # \x0b breaks a comment line
@@ -375,6 +375,16 @@ PLAIN_EDGE = [
     "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 3 2\ni 2 0 1\n",  # l > r
     "p tdgs 2 1 2\nv 1 2\nv 2 2\ne 1 2\n",  # colour 1 unused, found by build
     "p tdgs 2 1 3\nv 1 1\nv 2 2\ne 1 2\n",  # header c above the largest colour
+    # the writer's numbers in other bytes, which write back differently
+    "# legend 1 B\np tdgs 3 2 2\ne 1 1\nv 2 2\nv 3 1\nv 1 2\ne 2 3\n",  # v and e tags swapped
+    "# legend 1 B\np tdgs 3 2 2\nv 1 1 v 2 2\n\nv 3 1\ne 1 2\ne 2 3\n",  # two records on a line, a blank after
+    "# legend 1 B\np tdgs 3 2 2\nv +1 1\nv 2 2\nv 3 1\ne 1 2\ne 2 3\n",  # +1
+    "# legend 1 B\np tdgs 3 2 2\nv 01 1\nv 2 2\nv 3 1\ne 1 2\ne 2 3\n",  # 01
+    "p tdgs 2 1 1\nv 1 1\nv 2 1\ne 1 2\ni 1 1_0 20\ni 2 0 1_5\n",  # 1_0
+    "# legend +1 X\np tdgs 1 0 1\nv 1 1\n",  # a legend colour +1
+    "p tdgs 3 2 2\nv 1 1\nv 2 2\nv 3 1\ne 1 2 \ne 2 3\n",  # a trailing space
+    "# legend 2 Y\np tdgs 2 1 2\nv 1 1\nv 2 2\ne 1 2\ni 1 0 3\ni 2 3 4",  # no final LF
+    "p tdgs 2 0 1\nv 1 1\nv 2 - 1\n",  # a bare -
 ]
 
 
