@@ -105,9 +105,10 @@ def _read_lines(text: str) -> Instance:
                     raise ParseError(line_no, f"legend colour {k} declared twice")
                 legend[k] = parts[2]
             continue
-        tag, *rest = line.split() or [""]
-        if not tag:
+        fields = line.split()
+        if not fields:
             raise ParseError(line_no, "blank line not allowed")
+        tag, *rest = fields
         if tag == "p":
             if header is not None:
                 raise ParseError(line_no, "duplicate header")
