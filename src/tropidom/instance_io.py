@@ -23,7 +23,8 @@ read a shorter way. Every number after its header is decoded in one numpy
 call, unchecked, and the instance they describe is taken only when writing
 it gives back the same bytes. What the writer writes reads back as written,
 so a decode that passes is what the line reader would give; every other
-text goes to the line reader.
+text goes to the line reader, and a text that holds a CR or does not end in
+LF, which the writer never gives, goes there straight, undecoded.
 
 The writer gives the canonical text: legend comments, the header, v lines in
 id order, then the e lines in the sorted order build stores, then any i lines
@@ -176,8 +177,11 @@ def _read_written(text: str) -> Instance | None:
     that check is the proof: the writer writes only what _read_lines reads
     back as written (the round trip the tests check), so on the writer's
     text the two readers agree. Any other text, and any decoding that
-    fails, gives None.
+    fails, gives None. The writer writes no CR and ends in LF, so a text
+    that holds a CR or lacks a final LF gives None before any decoding.
     """
+    if "\r" in text or not text.endswith("\n"):
+        return None
     try:
         head, _, body = text.partition("p tdgs ")
         legend = {}

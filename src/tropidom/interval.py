@@ -60,13 +60,14 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
         raise RepresentationMismatchError(
             f"expected {g.n} intervals, got {len(intervals)}"
         )
+    pairs = []
     for v in g.vertices:
         if v not in intervals:
             raise RepresentationMismatchError(f"vertex {v} has no interval")
         lv, rv = intervals[v]
         if not lv <= rv:  # also refuses NaN endpoints
             raise RepresentationMismatchError(f"vertex {v}: interval [{lv},{rv}] has l > r")
-    pairs = [intervals[v] for v in g.vertices]
+        pairs.append((lv, rv))
     n, ends = g.n, np.array(pairs)
     if ends.dtype.kind == "f":
         # float64 rounds integers beyond 2^53; Python objects compare exactly
@@ -80,31 +81,25 @@ def build_interval_instance(g: ColouredGraph, intervals=None) -> IntervalInstanc
     e = g.edge_array - 1
     p, q = np.sort(pos[e], axis=1).T
     meet = (p < q) & (a[q] <= p)
-    # a mismatching pair (u, v), u < v, is keyed u * (n + 1) + v; the least
-    # "miss but present" and the least "meet but absent" key are compared
-    keys = []
-    if not meet.all():
-        key = np.sort(g.edge_array, axis=1) @ [n + 1, 1]
-        keys.append((int(key[~meet].min()), False))
     # position i meets i - a_i earlier positions and #{k > i : a_k <= i} later
     # ones; as a_k <= k, the sum is cumsum(bincount(a))[i] - a_i - 1
     met = np.bincount(p[meet], minlength=n) + np.bincount(q[meet], minlength=n)
-    short = (np.cumsum(np.bincount(a, minlength=n)) - a - 1 - met)[pos] > 0
-    if short.any():
-        # the least vertex short of edges is the smaller end of the least
-        # absent pair, whose other end is its least meeting non-neighbour
-        x = int(short.argmax())
+    # a vertex is in a mismatched pair exactly when it ends an edge whose
+    # intervals miss, or meets more positions than it has meeting edges; each
+    # pair's smaller end is the least vertex it touches, and any w paired with
+    # the least such x is itself in one, so w > x and x ends the least pair
+    bad = (np.cumsum(np.bincount(a, minlength=n)) - a - 1 - met)[pos] > 0
+    bad[e[~meet]] = True
+    if bad.any():
+        x = int(bad.argmax())
         i = int(pos[x])
         later = np.flatnonzero(a[i + 1 :] <= i) + i + 1
         partners = order[np.concatenate((np.arange(a[i], i), later))]
         nbrs = np.concatenate((e[e[:, 0] == x, 1], e[e[:, 1] == x, 0]))
-        y = int(np.setdiff1d(partners, nbrs)[0])
-        keys.append(((x + 1) * (n + 1) + y + 1, True))
-    if keys:
-        first, absent = min(keys)
-        u, v = divmod(first, n + 1)
+        y = int(np.setxor1d(partners, nbrs)[0])
+        absent = y in partners
         raise RepresentationMismatchError(
-            f"pair ({u},{v}): intervals {'meet' if absent else 'miss'} "
+            f"pair ({x + 1},{y + 1}): intervals {'meet' if absent else 'miss'} "
             f"but edge is {'absent' if absent else 'present'}"
         )
     return IntervalInstance(graph=g, order=tuple((order + 1).tolist()), a=tuple(a.tolist()))

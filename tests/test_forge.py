@@ -35,6 +35,7 @@ from tropidom.errors import (
     EmptyGraphError,
     HasIsolatedVertexError,
     MalformedFormulaError,
+    NotAPathError,
     NotSubcubicError,
     NotTropicalDominatingError,
     ParseError,
@@ -64,6 +65,9 @@ class TestCnf:
             # SATLIB files end with a "%" line
             ("p cnf 3 1\n1 2 3 0\n%\n0\n", "line 3: clause line has a non-integer field"),
             ("c x\np cnf x 1\n1 2 3 0\n", "line 2: header has a non-integer field"),
+            ("p cnf 3\n", "line 1: header must read 'p cnf <vars> <clauses>'"),
+            ("p cnf 3 1\n1 0 2 0\n", "line 2: zero literal inside clause"),
+            ("c only a comment\n", "line 1: missing 'p cnf' header"),
         ):
             with pytest.raises(ParseError) as exc:
                 parse_dimacs_cnf(text)
@@ -74,6 +78,8 @@ class TestCnf:
             CnfFormula(num_vars=1, clauses=(((1, True), (2, True), (1, False)),))
         with pytest.raises(MalformedFormulaError):
             CnfFormula(num_vars=2, clauses=(((1, True), (2, True)),))
+        with pytest.raises(MalformedFormulaError):
+            sat_to_path(parse_dimacs_cnf("p cnf 1 0\n"))
 
     def test_satisfiable(self):
         sat = CnfFormula(2, (((1, True), (1, True), (2, True)),))
@@ -188,6 +194,8 @@ class TestExtremal:
     def test_gamma_plus_triangle(self):
         g = extremal_gamma_plus(1, 1)
         assert g.n == 3 and gamma_t(g).value == 1
+        with pytest.raises(BadParametersError):
+            extremal_gamma_plus(0, 1)
 
     def test_gamma_plus_values(self):
         for gam, c in [(2, 2), (3, 3), (2, 4)]:
@@ -434,6 +442,8 @@ class TestPadColours:
         g = build(2, [(1, 2)], [1, 2])
         with pytest.raises(BadEpsilonError):
             pad_colours(g, 1.5)
+        with pytest.raises(NotAPathError):
+            pad_colours(build(3, [(1, 2), (1, 3), (2, 3)], [1, 1, 1]), 0.5)
 
     @pytest.mark.parametrize("n, epsilon", [(21, 0.01), (21, 0.1), (1447, 0.5)])
     def test_oversized_tail_refused_before_allocating(self, n, epsilon):

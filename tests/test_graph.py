@@ -61,6 +61,8 @@ class TestBuild:
             build(0, [], [])
         with pytest.raises(OutOfRangeError):
             build(2, [(1, 2)], [1, 0])
+        with pytest.raises(OutOfRangeError, match="expected 3 colours, got 2"):
+            build(3, [], [1, 2])
 
     def test_edges_normalised(self):
         g = build(3, [(3, 1), (2, 1)], [1, 1, 1])

@@ -438,6 +438,19 @@ def test_write_peak_memory_stays_near_the_text():
     assert peak < 5.5 * len(text)
 
 
+def _no_write_back(*args, **kwargs):
+    raise AssertionError("a text the writer never gives was decoded and written back")
+
+
+def test_cr_or_no_final_lf_goes_straight_to_the_line_reader():
+    text = write_instance(gen_gnpc(300, 0.5, 5, seed=7))
+    for copy in (text.replace("\n", "\r\n"), text[:-1]):
+        _, n, edges, colours, intervals, legend = reference_parse(copy)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(instance_io, "write_instance", _no_write_back)
+            assert parse_instance(copy) == Instance(build(n, edges, colours), intervals, legend)
+
+
 def _no_line_reader(text):
     raise AssertionError("the line reader was asked to read the writer's text")
 

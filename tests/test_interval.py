@@ -130,8 +130,9 @@ class TestBuild:
             build_interval_instance(g)
 
     def test_mismatch_names_first_differing_pair(self):
-        # flip a few pairs; the message names the least (u, v) that differs
-        rng = np.random.default_rng(69)
+        # flip a few pairs; the message names the least (u, v) that differs,
+        # also on a graph made without build, its rows reversed and shuffled
+        rng, shuffle = np.random.default_rng(69), np.random.default_rng(70)
         kinds = set()
         for _ in range(150):
             n, edges, colours, pairs = random_interval_instance(
@@ -153,9 +154,12 @@ class TestBuild:
                 f"pair ({u},{v}): intervals {'meet' if meet else 'miss'} "
                 f"but edge is {'absent' if meet else 'present'}"
             )
-            with pytest.raises(RepresentationMismatchError) as exc:
-                build_interval_instance(build(n, sorted(flipped), colours), pairs)
-            assert str(exc.value) == expected
+            g = build(n, sorted(flipped), colours)
+            rows = shuffle.permutation(g.edge_array[:, ::-1])
+            for h in (g, ColouredGraph(n=n, edge_array=rows, colour=g.colour, c=g.c)):
+                with pytest.raises(RepresentationMismatchError) as exc:
+                    build_interval_instance(h, pairs)
+                assert str(exc.value) == expected
         assert kinds == {True, False}
 
     def test_mismatch_messages_by_hand(self):

@@ -63,6 +63,10 @@ class TestFormulas:
     def test_parameter_validation(self):
         with pytest.raises(BadParametersError):
             threshold_colours(2, 0.5)
+        with pytest.raises(BadParametersError, match="c=-366 < 1"):
+            threshold_colours(3, 0.01)
+        with pytest.raises(BadParametersError):
+            search_conjecture(8)
         with pytest.raises(BadParametersError):
             RandomModel(10, 1.0, 2)
         with pytest.raises(BadParametersError):
